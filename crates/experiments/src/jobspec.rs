@@ -17,8 +17,9 @@
 //! Every field but `kind` is optional: `accesses` defaults to
 //! [`crate::runner::DEFAULT_ACCESSES`], `seed` to
 //! [`crate::runner::DEFAULT_SEED`], `jobs` to 1 (a server runs many jobs;
-//! width is an explicit opt-in), `deadline_ms` to none. A `sweep` without
-//! `benches`/`policies` covers all 14 benchmarks under LRU and LIN(4).
+//! width is an explicit opt-in, capped at [`MAX_JOBS`]), `deadline_ms` to
+//! none. A `sweep` without `benches`/`policies` covers all 14 benchmarks
+//! under LRU and LIN(4).
 
 use crate::figures::{try_fig5_report, try_sweep_report};
 use crate::runner::{CellSpanSink, RunOptions, DEFAULT_ACCESSES, DEFAULT_SEED};
@@ -31,6 +32,11 @@ use mlpsim_telemetry::{Json, SinkHandle};
 use mlpsim_trace::record::Trace;
 use mlpsim_trace::spec::SpecBench;
 use std::sync::Arc;
+
+/// Upper bound on a spec's `jobs`: each job spawns that many worker
+/// threads, so an unbounded value would let one request exhaust the
+/// server's threads.
+pub const MAX_JOBS: usize = 64;
 
 /// What a job computes.
 #[derive(Clone, Debug)]
@@ -135,8 +141,10 @@ impl JobSpec {
         let jobs = match v.get("jobs") {
             None => 1,
             Some(n) => match n.as_u64() {
-                Some(n) if n >= 1 => usize::try_from(n)
-                    .map_err(|_| "\"jobs\" does not fit this platform".to_string())?,
+                Some(n) if n >= 1 => match usize::try_from(n) {
+                    Ok(j) if j <= MAX_JOBS => j,
+                    _ => return Err(format!("\"jobs\" must be at most {MAX_JOBS}")),
+                },
                 _ => return Err("\"jobs\" wants a positive integer".into()),
             },
         };
@@ -427,6 +435,7 @@ mod tests {
             (r#"{"kind":"fig6"}"#, "unknown job kind"),
             (r#"{"kind":"fig5","accesses":0}"#, "accesses"),
             (r#"{"kind":"fig5","jobs":"many"}"#, "jobs"),
+            (r#"{"kind":"fig5","jobs":65}"#, "at most 64"),
             (r#"{"kind":"sweep","benches":["gcc"]}"#, "unknown benchmark"),
             (
                 r#"{"kind":"sweep","policies":["belady"]}"#,

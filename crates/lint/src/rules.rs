@@ -56,8 +56,8 @@ pub enum RuleId {
     /// slice-index). Call-graph rule — see [`crate::dataflow`].
     D8,
     /// Clock taint: values derived from `prof::now_ns()` must not flow
-    /// into `SimResult` or simulation event payloads (anything the
-    /// determinism CI diffs). Taint rule — see [`crate::dataflow`].
+    /// into `SimResult` or any event payload (anything the determinism
+    /// CI diffs). Taint rule — see [`crate::dataflow`].
     D9,
     /// Concurrency-order audit: atomics on one telemetry cell must pair
     /// store/load `Ordering`s consistently, and `serve` must not acquire
