@@ -1,11 +1,16 @@
 //! The abstract syntax tree produced by [`crate::parser`].
 //!
-//! This models the Rust subset the workspace uses, at the fidelity the
-//! dataflow rules (D7–D10) need: full expression structure with source
-//! lines, declared types on bindings and fields, call/method/index shapes,
-//! and item structure rich enough to build a workspace symbol table and
-//! call graph. It deliberately drops what no rule consumes: generic
-//! parameter bounds, where clauses, lifetimes, and macro definitions.
+//! This models the Rust subset the workspace uses, at the fidelity every
+//! rule needs: full expression structure with source lines, every type
+//! the source names (bindings, fields, casts, turbofish and qualified
+//! paths, generic parameters, bounds and where clauses, impl headers,
+//! alias targets, `dyn`/`impl`/`fn` types, array lengths), patterns with
+//! the paths they name, `use` paths, and item structure rich enough to
+//! build a workspace symbol table and call graph. Lifetimes, literal
+//! values, visibility paths and the attributes of anything but an item
+//! are dropped, and `macro_rules!` matchers are not modelled as such:
+//! their token trees survive as the expressions recovered from them (see
+//! [`ExprKind::MacroCall`]).
 
 /// One parsed source file.
 #[derive(Clone, Debug, Default)]
@@ -13,24 +18,50 @@ pub struct SourceFile {
     pub items: Vec<Item>,
 }
 
-/// An attribute (`#[cfg(test)]`, `#[inline]`…), flattened to the
-/// identifier tokens inside the brackets.
+/// An attribute (`#[cfg(test)]`, `#[inline]`…) with its line.
 #[derive(Clone, Debug)]
 pub struct Attr {
-    pub idents: Vec<String>,
+    pub meta: Meta,
     pub line: u32,
 }
 
-impl Attr {
-    /// Whether this is `#[cfg(test)]` / `#[test]` — gates rule scope.
-    pub fn is_test_gate(&self) -> bool {
-        match self.idents.as_slice() {
-            [a] if a == "test" => true,
-            _ => {
-                self.idents.first().map(String::as_str) == Some("cfg")
-                    && self.idents.iter().any(|s| s == "test")
-            }
+/// An attribute's content as a tree: `cfg(all(test, unix))` is `cfg`
+/// with the one argument `all`, whose arguments are `test` and `unix`.
+/// A path keeps its last segment (`clippy::x` → `x`); `key = value`
+/// keeps its key; literals are dropped.
+#[derive(Clone, Debug, Default)]
+pub struct Meta {
+    pub name: String,
+    pub args: Vec<Meta>,
+}
+
+impl Meta {
+    /// Whether this is the bare word `name`, without arguments.
+    fn is_word(&self, name: &str) -> bool {
+        self.name == name && self.args.is_empty()
+    }
+
+    /// Every name in the tree, parents before children.
+    pub fn names<'a>(&'a self, out: &mut Vec<&'a str>) {
+        out.push(&self.name);
+        for a in &self.args {
+            a.names(out);
         }
+    }
+}
+
+impl Attr {
+    /// Whether this attribute makes its item test code, out of scope for
+    /// every rule: `#[test]`, `#[cfg(test)]`, or `#[cfg(all(…))]` with
+    /// `test` as one of `all`'s own arguments. Any other predicate can
+    /// hold in a non-test build (`not(test)`, `any(test, …)`,
+    /// `all(any(test, …), …)`), so it gates production code.
+    pub fn is_test_gate(&self) -> bool {
+        let m = &self.meta;
+        m.is_word("test")
+            || (m.name == "cfg"
+                && matches!(m.args.as_slice(), [p] if p.is_word("test")
+                    || (p.name == "all" && p.args.iter().any(|a| a.is_word("test")))))
     }
 }
 
@@ -39,13 +70,18 @@ impl Attr {
 pub struct Item {
     pub attrs: Vec<Attr>,
     pub kind: ItemKind,
+    /// Every type the item's generic parameters, bounds (supertraits and
+    /// associated-type bounds included) and where clause name.
+    pub generics: Vec<Ty>,
     pub line: u32,
 }
 
 #[derive(Clone, Debug)]
 pub enum ItemKind {
-    /// `use …;` / `extern crate …;` — paths dropped.
-    Use,
+    /// `use …;` / `extern crate …;` — every path identifier with its line.
+    Use {
+        idents: Vec<(String, u32)>,
+    },
     /// `mod name;` or `mod name { … }`.
     Mod {
         name: String,
@@ -66,10 +102,9 @@ pub enum ItemKind {
         items: Vec<Item>,
     },
     Impl {
-        /// Head identifier of the self type (`System` for `System<P>`).
-        self_ty: String,
-        /// Head identifier of the implemented trait, if a trait impl.
-        trait_name: Option<String>,
+        self_ty: Ty,
+        /// The implemented trait, if a trait impl.
+        trait_ty: Option<Ty>,
         items: Vec<Item>,
     },
     Fn(FnDef),
@@ -83,14 +118,18 @@ pub enum ItemKind {
         ty: Ty,
         init: Option<Expr>,
     },
-    /// `type X = …;` — alias target dropped.
+    /// `type X = T;` (`ty` is `T`), or an associated type declared in a
+    /// trait (`type X: Bound;`, no `ty`; the bound is in
+    /// [`Item::generics`]).
     TypeAlias {
         name: String,
+        ty: Option<Ty>,
     },
     /// An item-position macro invocation (`thread_local! { … }`,
-    /// `macro_rules! m { … }`); body skipped.
+    /// `macro_rules! m { … }`); `args` as for [`ExprKind::MacroCall`].
     MacroCall {
         name: String,
+        args: Vec<Expr>,
     },
     /// `extern "C" { … }` — foreign fns/statics, bodyless.
     ExternBlock {
@@ -109,6 +148,9 @@ pub struct Field {
 pub struct Variant {
     pub name: String,
     pub fields: Vec<Field>,
+    /// `= expr` explicit discriminant.
+    pub discriminant: Option<Expr>,
+    pub line: u32,
 }
 
 /// A function definition or declaration.
@@ -132,19 +174,27 @@ pub struct Param {
 /// A declared type, reduced to what the rules consult.
 #[derive(Clone, Debug)]
 pub enum Ty {
-    /// `a::b::C<args…>` — segments plus the last segment's type args.
+    /// `a::b::C<args…>` — segments, the line of the first segment, and
+    /// the type args of every segment in order. `args` also holds the
+    /// other types a path names: `Item = T` bindings' `T`, the inputs and
+    /// output of `Fn(A) -> B` sugar, and `T` and `Tr` of a qualified
+    /// `<T as Tr>::X`.
     Path {
         segments: Vec<String>,
         args: Vec<Ty>,
+        line: u32,
     },
     Ref(Box<Ty>),
     Tuple(Vec<Ty>),
     Slice(Box<Ty>),
-    Array(Box<Ty>),
-    /// `fn(..) -> ..` pointers.
-    FnPtr,
-    /// `dyn Trait` / `impl Trait` — bounds dropped.
-    Opaque,
+    /// `[T; len]`.
+    Array(Box<Ty>, Box<Expr>),
+    /// `fn(A, B) -> C` pointers: the parameter types, then the output.
+    FnPtr(Vec<Ty>),
+    /// `dyn Trait + …` / `impl Trait + …` — the bounds.
+    Opaque(Vec<Ty>),
+    /// A const generic argument (`3`, `{ N * 2 }`, `true`).
+    Const(Box<Expr>),
     /// `_`.
     Infer,
     /// `Self` and method receivers.
@@ -170,7 +220,7 @@ impl Ty {
     pub fn deref_head(&self) -> Option<&str> {
         match self {
             Ty::Ref(inner) => inner.deref_head(),
-            Ty::Path { segments, args } => {
+            Ty::Path { segments, args, .. } => {
                 let head = segments.last().map(String::as_str)?;
                 if matches!(
                     head,
@@ -187,7 +237,8 @@ impl Ty {
     }
 }
 
-/// A pattern, reduced to binding structure.
+/// A pattern: binding structure plus the paths it names, each with the
+/// line it starts on.
 #[derive(Clone, Debug)]
 pub enum Pat {
     Wild,
@@ -195,6 +246,7 @@ pub enum Pat {
     Bind {
         name: String,
         sub: Option<Box<Pat>>,
+        line: u32,
     },
     Tuple(Vec<Pat>),
     Slice(Vec<Pat>),
@@ -202,16 +254,22 @@ pub enum Pat {
     Struct {
         path: Vec<String>,
         fields: Vec<(String, Pat)>,
+        line: u32,
     },
     /// `Path(pat, …)`.
     TupleStruct {
         path: Vec<String>,
         elems: Vec<Pat>,
+        line: u32,
     },
     /// A plain path pattern (`None`, `Ordering::SeqCst`).
-    Path(Vec<String>),
+    Path {
+        path: Vec<String>,
+        line: u32,
+    },
     Lit,
-    Range,
+    /// `lo..=hi`, `lo..`: the ends, each a `Lit` or a `Path`.
+    Range(Vec<Pat>),
     Ref(Box<Pat>),
     Or(Vec<Pat>),
     /// `..`.
@@ -222,7 +280,7 @@ impl Pat {
     /// Every identifier this pattern binds.
     pub fn bound_names(&self, out: &mut Vec<String>) {
         match self {
-            Pat::Bind { name, sub } => {
+            Pat::Bind { name, sub, .. } => {
                 out.push(name.clone());
                 if let Some(s) = sub {
                     s.bound_names(out);
@@ -306,7 +364,9 @@ impl BinOp {
     }
 }
 
-/// An expression with its source line.
+/// An expression with its source line: where it starts, except that a
+/// method call or field access sits on its name's line and a cast on its
+/// `as` keyword's line, so each finding points at the construct itself.
 #[derive(Clone, Debug)]
 pub struct Expr {
     pub line: u32,
@@ -315,8 +375,10 @@ pub struct Expr {
 
 #[derive(Clone, Debug)]
 pub enum ExprKind {
-    /// `a`, `a::b::c` (turbofish args dropped).
-    Path(Vec<String>),
+    /// `a`, `a::b::c`, `Vec::<u8>::new`: the segments, then the turbofish
+    /// types (for `<T as Tr>::f`, the segments are `[Tr, f]` and the
+    /// types `T` and `Tr`).
+    Path(Vec<String>, Vec<Ty>),
     /// Numeric literal (source text kept).
     Num(String),
     /// String/char literal.
@@ -352,6 +414,8 @@ pub enum ExprKind {
     MethodCall {
         recv: Box<Expr>,
         name: String,
+        /// `.collect::<Vec<_>>()` turbofish types.
+        generics: Vec<Ty>,
         args: Vec<Expr>,
     },
     Field {
@@ -362,15 +426,18 @@ pub enum ExprKind {
         base: Box<Expr>,
         index: Box<Expr>,
     },
-    /// `name!(…)` — args parsed as expressions when the token tree is
-    /// expression-shaped, otherwise `raw_idents` holds the identifiers.
+    /// `name!(…)` — `args` are the token tree's expressions: its
+    /// comma-separated list when it is one, otherwise (`vec![x; n]`,
+    /// `{ … }` bodies, `macro_rules!` transcribers) every expression that
+    /// parses inside it, token by token.
     MacroCall {
         path: Vec<String>,
         args: Vec<Expr>,
-        raw_idents: Vec<String>,
     },
     StructLit {
         path: Vec<String>,
+        /// `S::<T> { … }` turbofish types.
+        generics: Vec<Ty>,
         fields: Vec<(String, Expr)>,
         /// `..base` functional-update expression.
         base: Option<Box<Expr>>,
@@ -415,7 +482,10 @@ pub enum ExprKind {
     /// `unsafe { … }`.
     UnsafeBlock(Block),
     Closure {
-        params: Vec<Pat>,
+        /// Untyped parameters have [`Ty::Infer`].
+        params: Vec<Param>,
+        /// `|..| -> T { … }`.
+        ret: Option<Ty>,
         body: Box<Expr>,
     },
     Return(Option<Box<Expr>>),
@@ -437,6 +507,12 @@ pub struct Arm {
     pub body: Expr,
 }
 
+/// One direct child of an expression: a sub-expression or a block.
+pub enum Child<'a> {
+    Expr(&'a Expr),
+    Block(&'a Block),
+}
+
 impl Expr {
     /// Whether this expression is a literal (numeric/string/bool), looking
     /// through parens, references, casts, and unary minus. D7 exempts
@@ -453,7 +529,7 @@ impl Expr {
             ExprKind::Call { callee, args } => {
                 args.len() == 1
                     && args[0].is_literal()
-                    && matches!(&callee.kind, ExprKind::Path(p) if p.last().is_some_and(|s| s == "from"))
+                    && matches!(&callee.kind, ExprKind::Path(p, _) if p.last().is_some_and(|s| s == "from"))
             }
             _ => false,
         }
@@ -463,7 +539,7 @@ impl Expr {
     /// parens).
     pub fn as_path(&self) -> Option<&[String]> {
         match &self.kind {
-            ExprKind::Path(p) => Some(p),
+            ExprKind::Path(p, _) => Some(p),
             ExprKind::Paren(e) => e.as_path(),
             _ => None,
         }
@@ -474,11 +550,75 @@ impl Expr {
     /// Non-path shapes yield `None`.
     pub fn receiver_key(&self) -> Option<String> {
         match &self.kind {
-            ExprKind::Path(p) => Some(p.join(".")),
+            ExprKind::Path(p, _) => Some(p.join(".")),
             ExprKind::Field { base, name } => Some(format!("{}.{name}", base.receiver_key()?)),
             ExprKind::Paren(e) | ExprKind::Ref(e) => e.receiver_key(),
             ExprKind::Unary { op: '*', expr } => expr.receiver_key(),
             _ => None,
+        }
+    }
+
+    /// The direct child expressions and blocks in evaluation order (the
+    /// types and patterns an expression names are not children). Rules
+    /// that need nothing but the shape of the tree recurse through this
+    /// instead of matching every variant.
+    pub fn children(&self) -> Vec<Child<'_>> {
+        use Child::{Block as B, Expr as E};
+        fn opt(e: &Option<Box<Expr>>) -> Option<Child<'_>> {
+            e.as_deref().map(Child::Expr)
+        }
+        match &self.kind {
+            ExprKind::Unary { expr: e, .. }
+            | ExprKind::Ref(e)
+            | ExprKind::Cast { expr: e, .. }
+            | ExprKind::Try(e)
+            | ExprKind::Paren(e)
+            | ExprKind::Field { base: e, .. }
+            | ExprKind::Closure { body: e, .. } => vec![E(e)],
+            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
+                vec![E(lhs), E(rhs)]
+            }
+            ExprKind::Index { base, index } => vec![E(base), E(index)],
+            ExprKind::Call { callee: head, args }
+            | ExprKind::MethodCall {
+                recv: head, args, ..
+            } => std::iter::once(E(head)).chain(args.iter().map(E)).collect(),
+            ExprKind::MacroCall { args: es, .. } | ExprKind::Tuple(es) | ExprKind::Array(es) => {
+                es.iter().map(E).collect()
+            }
+            ExprKind::StructLit { fields, base, .. } => {
+                let mut out: Vec<Child<'_>> = fields.iter().map(|(_, e)| E(e)).collect();
+                out.extend(opt(base));
+                out
+            }
+            ExprKind::If { cond: e, then, els }
+            | ExprKind::IfLet {
+                expr: e, then, els, ..
+            } => [Some(E(e)), Some(B(then)), opt(els)]
+                .into_iter()
+                .flatten()
+                .collect(),
+            ExprKind::Match { scrut, arms } => {
+                let mut out = vec![E(scrut)];
+                for arm in arms {
+                    out.extend(arm.guard.as_ref().map(E));
+                    out.push(E(&arm.body));
+                }
+                out
+            }
+            ExprKind::While { cond: e, body }
+            | ExprKind::WhileLet { expr: e, body, .. }
+            | ExprKind::For { iter: e, body, .. } => vec![E(e), B(body)],
+            ExprKind::Loop { body: b } | ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => {
+                vec![B(b)]
+            }
+            ExprKind::Return(e) | ExprKind::Break(e) => opt(e).into_iter().collect(),
+            ExprKind::Range { lo, hi } => opt(lo).into_iter().chain(opt(hi)).collect(),
+            ExprKind::Path(..)
+            | ExprKind::Num(_)
+            | ExprKind::Str
+            | ExprKind::Bool(_)
+            | ExprKind::Continue => Vec::new(),
         }
     }
 }
@@ -512,108 +652,10 @@ pub fn walk_block(block: &Block, f: &mut dyn FnMut(&Expr)) {
 /// children), calling `f` on each.
 pub fn walk_expr(expr: &Expr, f: &mut dyn FnMut(&Expr)) {
     f(expr);
-    match &expr.kind {
-        ExprKind::Unary { expr: e, .. }
-        | ExprKind::Ref(e)
-        | ExprKind::Cast { expr: e, .. }
-        | ExprKind::Try(e)
-        | ExprKind::Paren(e) => walk_expr(e, f),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
+    for c in expr.children() {
+        match c {
+            Child::Expr(e) => walk_expr(e, f),
+            Child::Block(b) => walk_block(b, f),
         }
-        ExprKind::Call { callee, args } => {
-            walk_expr(callee, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            walk_expr(recv, f);
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Field { base, .. } => walk_expr(base, f),
-        ExprKind::Index { base, index } => {
-            walk_expr(base, f);
-            walk_expr(index, f);
-        }
-        ExprKind::MacroCall { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::StructLit { fields, base, .. } => {
-            for (_, e) in fields {
-                walk_expr(e, f);
-            }
-            if let Some(b) = base {
-                walk_expr(b, f);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => {
-            for e in es {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            walk_expr(cond, f);
-            walk_block(then, f);
-            if let Some(e) = els {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::IfLet {
-            expr: e, then, els, ..
-        } => {
-            walk_expr(e, f);
-            walk_block(then, f);
-            if let Some(e) = els {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::Match { scrut, arms } => {
-            walk_expr(scrut, f);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    walk_expr(g, f);
-                }
-                walk_expr(&arm.body, f);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
-        }
-        ExprKind::WhileLet { expr: e, body, .. } => {
-            walk_expr(e, f);
-            walk_block(body, f);
-        }
-        ExprKind::Loop { body } => walk_block(body, f),
-        ExprKind::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
-        }
-        ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => walk_block(b, f),
-        ExprKind::Closure { body, .. } => walk_expr(body, f),
-        ExprKind::Return(e) | ExprKind::Break(e) => {
-            if let Some(e) = e {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                walk_expr(e, f);
-            }
-            if let Some(e) = hi {
-                walk_expr(e, f);
-            }
-        }
-        ExprKind::Path(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str
-        | ExprKind::Bool(_)
-        | ExprKind::Continue => {}
     }
 }

@@ -31,7 +31,7 @@
 //! the caller does with the `join()` result — say `.unwrap()` — is
 //! ordinary non-isolated code that D8 still sees.
 
-use crate::ast::{Block, Expr, ExprKind, Pat, Stmt, Ty};
+use crate::ast::{Block, Child, Expr, ExprKind, Pat, Stmt, Ty};
 use crate::symbols::{FnId, Workspace};
 use std::collections::BTreeMap;
 
@@ -258,7 +258,9 @@ struct Cx<'a> {
 /// no rule needs); everything else binds as unknown.
 fn bind_pat_ty(pat: &Pat, ty: Option<&Ty>, self_ty: Option<&str>, env: &mut Env) {
     match pat {
-        Pat::Bind { name, sub: None } => {
+        Pat::Bind {
+            name, sub: None, ..
+        } => {
             let head = match ty {
                 Some(Ty::SelfTy) => self_ty.map(str::to_string),
                 Some(t) => t.deref_head().map(str::to_string),
@@ -305,6 +307,7 @@ fn walk_body(block: &Block, env: &mut Env, cx: &mut Cx<'_>) {
                             inferred_owned = Ty::Path {
                                 segments: vec![head],
                                 args: Vec::new(),
+                                line: 0,
                             };
                             Some(&inferred_owned)
                         }
@@ -345,7 +348,9 @@ fn walk(expr: &Expr, env: &mut Env, cx: &mut Cx<'_>) {
                 }
             }
         }
-        ExprKind::MethodCall { recv, name, args } => {
+        ExprKind::MethodCall {
+            recv, name, args, ..
+        } => {
             walk(recv, env, cx);
             for a in args {
                 walk(a, env, cx);
@@ -374,11 +379,7 @@ fn walk(expr: &Expr, env: &mut Env, cx: &mut Cx<'_>) {
                 }
             }
         }
-        ExprKind::MacroCall {
-            path,
-            args,
-            raw_idents: _,
-        } => {
+        ExprKind::MacroCall { path, args, .. } => {
             if let Some(last) = path.last() {
                 if PANIC_MACROS.contains(&last.as_str()) {
                     cx.sinks.push(Sink {
@@ -403,13 +404,6 @@ fn walk(expr: &Expr, env: &mut Env, cx: &mut Cx<'_>) {
                 what: "slice index",
                 isolated: cx.isolated,
             });
-        }
-        ExprKind::If { cond, then, els } => {
-            walk(cond, env, cx);
-            walk_body(then, env, cx);
-            if let Some(e) = els {
-                walk(e, env, cx);
-            }
         }
         ExprKind::IfLet {
             pat,
@@ -436,10 +430,6 @@ fn walk(expr: &Expr, env: &mut Env, cx: &mut Cx<'_>) {
                 walk(&arm.body, &mut inner, cx);
             }
         }
-        ExprKind::While { cond, body } => {
-            walk(cond, env, cx);
-            walk_body(body, env, cx);
-        }
         ExprKind::WhileLet {
             pat,
             expr: scrut,
@@ -456,56 +446,22 @@ fn walk(expr: &Expr, env: &mut Env, cx: &mut Cx<'_>) {
             bind_pat_ty(pat, None, cx.self_ty, &mut inner);
             walk_body(body, &mut inner, cx);
         }
-        ExprKind::Loop { body } => walk_body(body, env, cx),
-        ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => walk_body(b, env, cx),
-        ExprKind::Closure { params, body } => {
+        ExprKind::Closure { params, body, .. } => {
             let mut inner = env.clone();
             for p in params {
-                bind_pat_ty(p, None, cx.self_ty, &mut inner);
+                bind_pat_ty(&p.pat, None, cx.self_ty, &mut inner);
             }
             walk(body, &mut inner, cx);
         }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            walk(lhs, env, cx);
-            walk(rhs, env, cx);
-        }
-        ExprKind::Unary { expr: e, .. }
-        | ExprKind::Ref(e)
-        | ExprKind::Cast { expr: e, .. }
-        | ExprKind::Try(e)
-        | ExprKind::Paren(e) => walk(e, env, cx),
-        ExprKind::Field { base, .. } => walk(base, env, cx),
-        ExprKind::StructLit { fields, base, .. } => {
-            for (_, e) in fields {
-                walk(e, env, cx);
-            }
-            if let Some(b) = base {
-                walk(b, env, cx);
+        // Everything else only recurses, in evaluation order.
+        _ => {
+            for c in expr.children() {
+                match c {
+                    Child::Expr(e) => walk(e, env, cx),
+                    Child::Block(b) => walk_body(b, env, cx),
+                }
             }
         }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => {
-            for e in es {
-                walk(e, env, cx);
-            }
-        }
-        ExprKind::Return(e) | ExprKind::Break(e) => {
-            if let Some(e) = e {
-                walk(e, env, cx);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                walk(e, env, cx);
-            }
-            if let Some(e) = hi {
-                walk(e, env, cx);
-            }
-        }
-        ExprKind::Path(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str
-        | ExprKind::Bool(_)
-        | ExprKind::Continue => {}
     }
 }
 
@@ -602,7 +558,7 @@ fn pick(mut candidates: Vec<FnId>, cx: &Cx<'_>) -> Option<FnId> {
 /// table. `None` = unknown.
 fn infer_ty(expr: &Expr, env: &Env, cx: &Cx<'_>) -> Option<String> {
     match &expr.kind {
-        ExprKind::Path(p) => match p.as_slice() {
+        ExprKind::Path(p, _) => match p.as_slice() {
             [one] if one == "self" => cx.self_ty.map(str::to_string),
             [one] => env.get(one).cloned(),
             _ => None,

@@ -1,9 +1,27 @@
-//! AST / call-graph dataflow rules D7–D10.
+//! The rules, D1–D11, over the parsed workspace.
 //!
-//! These rules run over the whole workspace at once (unlike the
-//! per-file token rules D1–D6): they need the symbol table in
-//! [`crate::symbols`] for type-directed reasoning and the
-//! [`crate::callgraph`] for interprocedural reachability.
+//! Every rule reads the ASTs in [`crate::symbols::Workspace`] and skips
+//! test code by the one definition in [`Attr::is_test_gate`].
+//!
+//! Per-file rules — one walk per file gathers every expression and every
+//! identifier the file names with whether it sits in test code and,
+//! for D5, whether it sits in the then-block of an `if` whose condition
+//! enables the `P::ENABLED` gate; each rule is a filter over that list:
+//!
+//! - **D1** — no order-sensitive iteration over bindings whose declared
+//!   type or initializer names `HashMap`/`HashSet`.
+//! - **D2** — no `SystemTime`/`Instant`/`thread_rng` anywhere: paths,
+//!   types with their generic args, `use` items.
+//! - **D3** — no `as <numeric>` cast in the cost model.
+//! - **D4** — no `.unwrap()` / `panic!`.
+//! - **D5** — every `probe.emit(..)` under a positive `ENABLED` guard.
+//! - **D6** — a file that calls `.accept(..)`/`.incoming(..)` also arms
+//!   a read timeout.
+//! - **D11** — no bare `eprintln!` in serve request-path code.
+//!
+//! Workspace rules — they need the symbol table for type-directed
+//! reasoning and the [`crate::callgraph`] for interprocedural
+//! reachability:
 //!
 //! - **D7** — overflow-hazard arithmetic: bare `+` `-` `*` `<<` on
 //!   cycle/address/timestamp-typed values in the simulation crates.
@@ -28,52 +46,578 @@
 //!   acquired in opposite nesting orders, with guard liveness tracked
 //!   through let bindings, `drop(..)`, and statement temporaries.
 //!
-//! All four are deliberately conservative in the same direction as the
-//! token rules: a false positive costs one justification pragma; a
-//! false negative costs a nondeterministic sweep or a dead handler
-//! thread. Analysis is flow-insensitive across loop back-edges and
-//! ignores taint through `&mut` out-params — the workspace has neither
-//! pattern on the audited flows.
+//! All rules are name-based where types are out of reach — no type
+//! inference, no macro expansion — and deliberately conservative: a
+//! false positive costs one justification pragma; a false negative
+//! costs a nondeterministic sweep or a dead handler thread. Analysis is
+//! flow-insensitive across loop back-edges and ignores taint through
+//! `&mut` out-params — the workspace has neither pattern on the audited
+//! flows.
 
-use crate::ast::{walk_block, Block, Expr, ExprKind, Pat, Stmt, Ty};
+use crate::ast::{
+    walk_block, Attr, BinOp, Block, Child, Expr, ExprKind, Field, Item, ItemKind, Param, Pat, Stmt,
+    Ty,
+};
 use crate::callgraph::CallGraph;
-use crate::lexer::lex;
-use crate::rules::{parse_pragmas, Diagnostic, RuleId};
-use crate::symbols::{FnId, Workspace};
-use crate::{Finding, InputFile, LintReport};
+use crate::rules::{Diagnostic, RuleId};
+use crate::symbols::{FnId, ParsedFile, Workspace};
+use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Runs D7–D10 over the file set, appending findings (and parse errors)
-/// to `report`. Pragma suppression (`lint: allow` / `lint: bounded`)
-/// is applied here, with the same line-or-next coverage as D1–D6.
-pub fn check_workspace(files: &[InputFile], report: &mut LintReport) {
-    let (ws, parse_errors) = Workspace::build(files);
-    report.parse_errors.extend(parse_errors);
-    let graph = CallGraph::build(&ws);
-
-    let mut found: Vec<Finding> = Vec::new();
-    check_d7(&ws, &mut found);
-    check_d8(&ws, &graph, &mut found);
-    check_d9(&ws, &mut found);
-    check_d10_atomics(&ws, &mut found);
-    check_d10_locks(&ws, &mut found);
-
-    // Pragma suppression: an allow on line L covers findings on L and
-    // L+1 (same contract as the token rules). Malformed-pragma
-    // diagnostics are already emitted by `check_file`; only the allow
-    // list is consumed here.
-    let mut allows: BTreeMap<&str, Vec<(u32, RuleId)>> = BTreeMap::new();
-    for f in files {
-        let (a, _) = parse_pragmas(&lex(&f.src).comments);
-        allows.insert(f.rel_path.as_str(), a);
+/// Runs every rule over the workspace, appending findings to `out`.
+pub fn check_workspace(ws: &Workspace, out: &mut Vec<Finding>) {
+    for f in &ws.files {
+        out.extend(per_file_rules(f).into_iter().map(|diag| Finding {
+            rel_path: f.rel_path.clone(),
+            diag,
+        }));
     }
-    found.retain(|f| {
-        !allows.get(f.rel_path.as_str()).is_some_and(|a| {
-            a.iter()
-                .any(|(l, r)| *r == f.diag.rule && (f.diag.line == *l || f.diag.line == *l + 1))
-        })
-    });
-    report.findings.extend(found);
+    let graph = CallGraph::build(ws);
+    check_d7(ws, out);
+    check_d8(ws, &graph, out);
+    check_d9(ws, out);
+    check_d10_atomics(ws, out);
+    check_d10_locks(ws, out);
+}
+
+// ---------------------------------------------------------------------------
+// D1–D6, D11 — per-file rules
+// ---------------------------------------------------------------------------
+
+/// Crates whose state feeds victim selection or sweep output (D1).
+const D1_CRATES: &[&str] = &["cache", "core", "mem", "exec"];
+/// Crates that constitute simulation logic (D2). `telemetry` is included
+/// so wall-clock reads in core crates go only through the audited
+/// `telemetry::prof` clock shim, whose own `Instant` uses carry allow
+/// pragmas. `model` is included because the analytical estimators must be
+/// as deterministic as the simulator they stand in for — a planner that
+/// prunes different cells on different hosts is a reproducibility bug.
+const D2_CRATES: &[&str] = &[
+    "cache",
+    "core",
+    "mem",
+    "cpu",
+    "exec",
+    "trace",
+    "telemetry",
+    "model",
+];
+/// Crates holding the paper's cost/quantization model (D3).
+const D3_CRATES: &[&str] = &["core"];
+
+/// Map/set iteration methods whose order is nondeterministic.
+const ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "retain",
+    "into_iter",
+    "into_keys",
+    "into_values",
+];
+
+/// Primitive numeric targets of `as` casts, plus the workspace's own
+/// numeric alias for the 3-bit quantized cost.
+const NUMERIC_TYPES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "CostQ",
+];
+
+/// Wall-clock / ambient-randomness identifiers banned by D2.
+const D2_IDENTS: &[&str] = &["SystemTime", "Instant", "thread_rng"];
+
+/// Runs D1–D6 and D11 on one parsed file.
+fn per_file_rules(f: &ParsedFile) -> Vec<Diagnostic> {
+    let mut scan = Scan::default();
+    scan.items(&f.ast.items, false);
+    let key = f.crate_key.as_str();
+    let live: Vec<(&Expr, bool)> = scan
+        .exprs
+        .iter()
+        .filter(|s| !s.test)
+        .map(|s| (s.expr, s.guarded))
+        .collect();
+    let idents: Vec<(&str, u32)> = scan
+        .idents
+        .iter()
+        .filter(|(_, _, test)| !test)
+        .map(|(s, l, _)| (*s, *l))
+        .collect();
+    let mut out = Vec::new();
+    let mut report =
+        |line: u32, rule: RuleId, msg: String| out.push(Diagnostic { line, rule, msg });
+
+    if D1_CRATES.contains(&key) {
+        let maps = scan.map_bindings();
+        for (e, _) in &live {
+            match &e.kind {
+                ExprKind::MethodCall { recv, name, .. }
+                    if ITER_METHODS.contains(&name.as_str()) =>
+                {
+                    if let Some(m) = tail_ident(recv).filter(|m| maps.contains(m)) {
+                        report(
+                            e.line,
+                            RuleId::D1,
+                            format!(
+                                "iteration over unordered map/set `{m}.{name}()` — order is \
+                                 nondeterministic; use a Vec/BTreeMap or sort before iterating"
+                            ),
+                        );
+                    }
+                }
+                ExprKind::For { iter, .. } => {
+                    for (h, line) in subtree_idents(iter) {
+                        if maps.contains(&h) {
+                            report(
+                                line,
+                                RuleId::D1,
+                                format!(
+                                    "`for` loop over unordered map/set `{h}` — order is \
+                                     nondeterministic; collect and sort first"
+                                ),
+                            );
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    if D2_CRATES.contains(&key) {
+        for (s, line) in idents.iter().filter(|(s, _)| D2_IDENTS.contains(s)) {
+            report(
+                *line,
+                RuleId::D2,
+                format!(
+                    "`{s}` in simulation logic — wall-clock time and ambient randomness \
+                     break replay determinism; thread cycle counts / seeded RNGs instead"
+                ),
+            );
+        }
+    }
+    let has_timeout = idents
+        .iter()
+        .any(|(s, _)| matches!(*s, "set_read_timeout" | "arm_read_timeout"));
+    let d11 = key == "serve" && !d11_exempt(&f.rel_path);
+    for (e, guarded) in &live {
+        match &e.kind {
+            ExprKind::Cast {
+                ty: Ty::Path { segments, .. },
+                ..
+            } if D3_CRATES.contains(&key)
+                && matches!(segments.as_slice(), [t] if NUMERIC_TYPES.contains(&t.as_str())) =>
+            {
+                report(
+                    e.line,
+                    RuleId::D3,
+                    format!(
+                        "bare `as {}` cast in cost/quantization code — use `From`/\
+                         `TryFrom` or a documented helper from `mlpsim_core::convert`",
+                        segments[0]
+                    ),
+                );
+            }
+            ExprKind::MethodCall { name, args, .. } if name == "unwrap" && args.is_empty() => {
+                report(
+                    e.line,
+                    RuleId::D4,
+                    "`.unwrap()` outside tests — return an error, or use `expect(..)` \
+                     with a proof the failure is impossible"
+                        .to_string(),
+                );
+            }
+            ExprKind::MethodCall { recv, name, .. }
+                if name == "emit" && !guarded && tail_ident(recv) == Some("probe") =>
+            {
+                report(
+                    e.line,
+                    RuleId::D5,
+                    "`probe.emit(..)` outside an `if P::ENABLED` guard — the event payload \
+                     is built even in NoProbe builds; wrap the emission in the const gate"
+                        .to_string(),
+                );
+            }
+            ExprKind::MethodCall { name, .. }
+                if !has_timeout && (name == "accept" || name == "incoming") =>
+            {
+                report(
+                    e.line,
+                    RuleId::D6,
+                    format!(
+                        "`.{name}(..)` with no read timeout in this file — a blocking read on \
+                         an accepted socket can hang on a stalled client; call \
+                         `set_read_timeout` (or `http::arm_read_timeout`) on every accepted \
+                         stream"
+                    ),
+                );
+            }
+            ExprKind::MacroCall { path, .. } => match path.last().map(String::as_str) {
+                Some("panic") => report(
+                    e.line,
+                    RuleId::D4,
+                    "`panic!` outside tests — return an error instead (asserts with \
+                     documented invariants use `assert!`/`debug_assert!`)"
+                        .to_string(),
+                ),
+                Some("eprintln") if d11 => report(
+                    e.line,
+                    RuleId::D11,
+                    "bare `eprintln!` in the serve request path — emit through \
+                     `log::access` / `log::server_event` so the line is structured \
+                     JSON carrying the trace id"
+                        .to_string(),
+                ),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Files inside `crates/serve` that D11 does not cover: the log helper
+/// is the sanctioned `eprintln!` site, the `bin/` CLIs and the client
+/// library write user-facing output, not server request-path logs.
+fn d11_exempt(rel_path: &str) -> bool {
+    rel_path.contains("/bin/") || rel_path.ends_with("/client.rs") || rel_path.ends_with("/log.rs")
+}
+
+/// Whether an `if` condition enables the telemetry gate on every path
+/// into its then-block: `ENABLED` itself, or a conjunct of an `&&`
+/// chain. A negation or one side of `||` does not guard the emission.
+fn enables(cond: &Expr) -> bool {
+    match &cond.kind {
+        ExprKind::Path(p, _) => p.last().is_some_and(|s| s == "ENABLED"),
+        ExprKind::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => enables(lhs) || enables(rhs),
+        ExprKind::Paren(e) => enables(e),
+        _ => false,
+    }
+}
+
+/// The identifier a receiver ends in: `pending` for both `pending` and
+/// `self.pending`.
+fn tail_ident(e: &Expr) -> Option<&str> {
+    match &e.kind {
+        ExprKind::Path(p, _) => p.last().map(String::as_str),
+        ExprKind::Field { name, .. } => Some(name),
+        _ => None,
+    }
+}
+
+/// Every identifier in an expression subtree, casts' types included.
+fn subtree_idents(e: &Expr) -> Vec<(&str, u32)> {
+    let mut scan = Scan::default();
+    scan.expr(e, false, false);
+    scan.idents.into_iter().map(|(s, l, _)| (s, l)).collect()
+}
+
+struct Site<'a> {
+    expr: &'a Expr,
+    test: bool,
+    /// Inside the then-block of an `if` that [`enables`] the probe gate.
+    guarded: bool,
+}
+
+/// One file's syntax, flattened by a single walk.
+#[derive(Default)]
+struct Scan<'a> {
+    /// Every expression node, parents before children.
+    exprs: Vec<Site<'a>>,
+    /// Every identifier the tree keeps — item, variant, field and
+    /// binding names, item attribute words, `use` paths, expression and
+    /// pattern paths, method, field and macro names, and every type —
+    /// with its line and whether it sits in test code.
+    idents: Vec<(&'a str, u32, bool)>,
+    /// Named bindings with their declared type and initializer: fields,
+    /// params, `let`s, consts and statics, test code included (D1).
+    binds: Vec<(&'a str, Option<&'a Ty>, Option<&'a Expr>)>,
+}
+
+impl<'a> Scan<'a> {
+    fn items(&mut self, items: &'a [Item], test: bool) {
+        for item in items {
+            self.item(item, test);
+        }
+    }
+
+    /// Records identifiers that sit on `line`.
+    fn names(&mut self, names: impl IntoIterator<Item = &'a String>, line: u32, test: bool) {
+        self.idents
+            .extend(names.into_iter().map(|s| (s.as_str(), line, test)));
+    }
+
+    fn tys(&mut self, tys: impl IntoIterator<Item = &'a Ty>, test: bool) {
+        for t in tys {
+            self.ty(t, test);
+        }
+    }
+
+    fn pats(&mut self, pats: impl IntoIterator<Item = &'a Pat>, test: bool) {
+        for p in pats {
+            self.pat(p, test);
+        }
+    }
+
+    fn exprs(&mut self, exprs: impl IntoIterator<Item = &'a Expr>, test: bool) {
+        for e in exprs {
+            self.expr(e, test, false);
+        }
+    }
+
+    fn item(&mut self, item: &'a Item, test: bool) {
+        let test = test || item.attrs.iter().any(Attr::is_test_gate);
+        for a in &item.attrs {
+            let mut words = Vec::new();
+            a.meta.names(&mut words);
+            self.idents
+                .extend(words.into_iter().map(|s| (s, a.line, test)));
+        }
+        self.tys(&item.generics, test);
+        let line = item.line;
+        match &item.kind {
+            ItemKind::Use { idents } => {
+                self.idents
+                    .extend(idents.iter().map(|(s, l)| (s.as_str(), *l, test)));
+            }
+            ItemKind::Mod { name, items } => {
+                self.names([name], line, test);
+                self.items(items.as_deref().unwrap_or_default(), test);
+            }
+            ItemKind::Trait { name, items } => {
+                self.names([name], line, test);
+                self.items(items, test);
+            }
+            ItemKind::Impl {
+                self_ty,
+                trait_ty,
+                items,
+            } => {
+                self.tys(std::iter::once(self_ty).chain(trait_ty), test);
+                self.items(items, test);
+            }
+            ItemKind::ExternBlock { items } => self.items(items, test),
+            ItemKind::Struct { name, fields } => {
+                self.names([name], line, test);
+                self.fields(fields, test);
+            }
+            ItemKind::Enum { name, variants } => {
+                self.names([name], line, test);
+                for v in variants {
+                    self.names([&v.name], v.line, test);
+                    self.fields(&v.fields, test);
+                    self.exprs(&v.discriminant, test);
+                }
+            }
+            ItemKind::Fn(f) => {
+                self.names([&f.name], f.line, test);
+                for p in &f.params {
+                    self.param(p, test);
+                }
+                self.tys(&f.ret, test);
+                if let Some(b) = &f.body {
+                    self.block(b, test, false);
+                }
+            }
+            ItemKind::Const { name, ty, init } | ItemKind::Static { name, ty, init } => {
+                self.names([name], line, test);
+                self.ty(ty, test);
+                self.binds.push((name, Some(ty), init.as_ref()));
+                self.exprs(init, test);
+            }
+            ItemKind::TypeAlias { name, ty } => {
+                self.names([name], line, test);
+                self.tys(ty, test);
+            }
+            ItemKind::MacroCall { name, args } => {
+                self.names([name], line, test);
+                self.exprs(args, test);
+            }
+        }
+    }
+
+    fn fields(&mut self, fields: &'a [Field], test: bool) {
+        for f in fields {
+            self.names([&f.name], f.line, test);
+            self.ty(&f.ty, test);
+            self.binds.push((&f.name, Some(&f.ty), None));
+        }
+    }
+
+    /// A fn or closure parameter.
+    fn param(&mut self, p: &'a Param, test: bool) {
+        self.pat(&p.pat, test);
+        self.ty(&p.ty, test);
+        if let Pat::Bind { name, .. } = &p.pat {
+            self.binds.push((name, Some(&p.ty), None));
+        }
+    }
+
+    fn ty(&mut self, ty: &'a Ty, test: bool) {
+        match ty {
+            Ty::Path {
+                segments,
+                args,
+                line,
+            } => {
+                self.names(segments, *line, test);
+                self.tys(args, test);
+            }
+            Ty::Ref(t) | Ty::Slice(t) => self.ty(t, test),
+            Ty::Array(t, len) => {
+                self.ty(t, test);
+                self.expr(len, test, false);
+            }
+            Ty::Tuple(ts) | Ty::FnPtr(ts) | Ty::Opaque(ts) => self.tys(ts, test),
+            Ty::Const(e) => self.expr(e, test, false),
+            Ty::Infer | Ty::SelfTy | Ty::Never => {}
+        }
+    }
+
+    fn pat(&mut self, pat: &'a Pat, test: bool) {
+        match pat {
+            Pat::Bind { name, sub, line } => {
+                self.names([name], *line, test);
+                self.pats(sub.as_deref(), test);
+            }
+            Pat::Struct { path, fields, line } => {
+                self.names(path, *line, test);
+                for (field, p) in fields {
+                    // `S { a }` binds the field's own name: one ident.
+                    if !matches!(p, Pat::Bind { name, .. } if name == field) {
+                        self.names([field], *line, test);
+                    }
+                    self.pat(p, test);
+                }
+            }
+            Pat::TupleStruct { path, elems, line } => {
+                self.names(path, *line, test);
+                self.pats(elems, test);
+            }
+            Pat::Path { path, line } => self.names(path, *line, test),
+            Pat::Tuple(ps) | Pat::Slice(ps) | Pat::Or(ps) | Pat::Range(ps) => self.pats(ps, test),
+            Pat::Ref(p) => self.pat(p, test),
+            Pat::Wild | Pat::Lit | Pat::Rest => {}
+        }
+    }
+
+    fn block(&mut self, b: &'a Block, test: bool, guarded: bool) {
+        for stmt in &b.stmts {
+            match stmt {
+                Stmt::Let {
+                    pat, ty, init, els, ..
+                } => {
+                    self.pat(pat, test);
+                    self.tys(ty, test);
+                    if let Pat::Bind { name, .. } = pat {
+                        self.binds.push((name, ty.as_ref(), init.as_ref()));
+                    }
+                    if let Some(e) = init {
+                        self.expr(e, test, guarded);
+                    }
+                    if let Some(b) = els {
+                        self.block(b, test, guarded);
+                    }
+                }
+                Stmt::Expr { expr, .. } => self.expr(expr, test, guarded),
+                Stmt::Item(item) => self.item(item, test),
+                Stmt::Empty => {}
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &'a Expr, test: bool, guarded: bool) {
+        self.exprs.push(Site {
+            expr: e,
+            test,
+            guarded,
+        });
+        // The names, types and patterns an expression holds itself; its
+        // sub-expressions and blocks follow through `children()`.
+        match &e.kind {
+            ExprKind::Path(path, tys) => {
+                self.names(path, e.line, test);
+                self.tys(tys, test);
+            }
+            ExprKind::MacroCall { path, .. } => self.names(path, e.line, test),
+            ExprKind::MethodCall { name, generics, .. } => {
+                self.names([name], e.line, test);
+                self.tys(generics, test);
+            }
+            ExprKind::Field { name, .. } => self.names([name], e.line, test),
+            ExprKind::Cast { ty, .. } => self.ty(ty, test),
+            ExprKind::StructLit {
+                path,
+                generics,
+                fields,
+                ..
+            } => {
+                self.names(
+                    path.iter().chain(fields.iter().map(|(n, _)| n)),
+                    e.line,
+                    test,
+                );
+                self.tys(generics, test);
+                // `E { credits: HashMap::new() }` binds a map like a field.
+                self.binds
+                    .extend(fields.iter().map(|(n, v)| (n.as_str(), None, Some(v))));
+            }
+            ExprKind::Closure { params, ret, .. } => {
+                for p in params {
+                    self.param(p, test);
+                }
+                self.tys(ret, test);
+            }
+            ExprKind::IfLet { pat, .. }
+            | ExprKind::WhileLet { pat, .. }
+            | ExprKind::For { pat, .. } => self.pat(pat, test),
+            ExprKind::Match { arms, .. } => self.pats(arms.iter().map(|a| &a.pat), test),
+            ExprKind::If { cond, then, els } => {
+                self.expr(cond, test, guarded);
+                self.block(then, test, guarded || enables(cond));
+                if let Some(x) = els {
+                    self.expr(x, test, guarded);
+                }
+                return;
+            }
+            _ => {}
+        }
+        for c in e.children() {
+            match c {
+                Child::Expr(x) => self.expr(x, test, guarded),
+                Child::Block(b) => self.block(b, test, guarded),
+            }
+        }
+    }
+
+    /// Names D1 treats as unordered maps/sets: bindings whose declared
+    /// type or initializer mentions `HashMap`/`HashSet`.
+    fn map_bindings(&self) -> Vec<&'a str> {
+        let mut out = Vec::new();
+        for (name, ty, init) in &self.binds {
+            let mut scan = Scan::default();
+            if let Some(t) = ty {
+                scan.ty(t, false);
+            }
+            if let Some(e) = init {
+                scan.expr(e, false, false);
+            }
+            if scan
+                .idents
+                .iter()
+                .any(|(s, _, _)| matches!(*s, "HashMap" | "HashSet"))
+            {
+                out.push(*name);
+            }
+        }
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +679,10 @@ fn check_d7(ws: &Workspace, out: &mut Vec<Finding>) {
         let Some(body) = &f.def.body else { continue };
         let mut env = D7Env::default();
         for p in &f.def.params {
-            if let Pat::Bind { name, sub: None } = &p.pat {
+            if let Pat::Bind {
+                name, sub: None, ..
+            } = &p.pat
+            {
                 let declared = match &p.ty {
                     Ty::SelfTy => f.self_ty.clone(),
                     t => t.deref_head().map(str::to_string),
@@ -164,7 +711,7 @@ fn check_d7(ws: &Workspace, out: &mut Vec<Finding>) {
 /// call graph's, sufficient for `self.field` and annotated locals.
 fn d7_infer_head(e: &Expr, env: &D7Env, cx: &D7Cx<'_>) -> Option<String> {
     match &e.kind {
-        ExprKind::Path(p) => match p.as_slice() {
+        ExprKind::Path(p, _) => match p.as_slice() {
             [one] if one == "self" => cx.self_ty.map(str::to_string),
             [one] => env.tys.get(one).cloned(),
             _ => None,
@@ -192,7 +739,7 @@ fn d7_infer_head(e: &Expr, env: &D7Env, cx: &D7Cx<'_>) -> Option<String> {
 /// Whether an expression evaluates to a hazard-typed value.
 fn d7_hazard(e: &Expr, env: &D7Env, cx: &D7Cx<'_>) -> bool {
     match &e.kind {
-        ExprKind::Path(p) => match p.as_slice() {
+        ExprKind::Path(p, _) => match p.as_slice() {
             [one] => env.hot.contains(one) || (!env.cold.contains(one) && hazard_name(one)),
             // Consts/statics (`SENTINEL_ADDR`) match by name.
             _ => p.last().is_some_and(|s| hazard_name(s)),
@@ -271,8 +818,7 @@ fn d7_ret_hazard(path: &[String], cx: &D7Cx<'_>) -> bool {
     }
 }
 
-fn d7_op_str(op: crate::ast::BinOp) -> &'static str {
-    use crate::ast::BinOp;
+fn d7_op_str(op: BinOp) -> &'static str {
     match op {
         BinOp::Add => "+",
         BinOp::Sub => "-",
@@ -297,7 +843,9 @@ fn d7_block(b: &Block, outer: &D7Env, cx: &mut D7Cx<'_>) {
                 }
                 let init_hazard = init.as_ref().is_some_and(|e| d7_hazard(e, &env, cx));
                 match pat {
-                    Pat::Bind { name, sub: None } => {
+                    Pat::Bind {
+                        name, sub: None, ..
+                    } => {
                         env.hot.remove(name);
                         env.cold.remove(name);
                         env.tys.remove(name);
@@ -360,138 +908,35 @@ fn d7_block(b: &Block, outer: &D7Env, cx: &mut D7Cx<'_>) {
 /// statement; nested blocks re-enter [`d7_block`] with a child scope).
 fn d7_expr(e: &Expr, env: &D7Env, cx: &mut D7Cx<'_>) {
     match &e.kind {
-        ExprKind::Binary { op, lhs, rhs } if op.is_overflow_hazard() => {
-            if !lhs.is_literal()
+        ExprKind::Binary { op, lhs, rhs }
+            if op.is_overflow_hazard()
+                && !lhs.is_literal()
                 && !rhs.is_literal()
-                && (d7_hazard(lhs, env, cx) || d7_hazard(rhs, env, cx))
-            {
-                d7_report(e.line, *op, cx);
-            }
-            d7_expr(lhs, env, cx);
-            d7_expr(rhs, env, cx);
+                && (d7_hazard(lhs, env, cx) || d7_hazard(rhs, env, cx)) =>
+        {
+            d7_report(e.line, *op, cx);
         }
         ExprKind::Assign {
             op: Some(op),
             lhs,
             rhs,
-        } if op.is_overflow_hazard() => {
-            if !rhs.is_literal() && (d7_hazard(lhs, env, cx) || d7_hazard(rhs, env, cx)) {
-                d7_report(e.line, *op, cx);
-            }
-            d7_expr(lhs, env, cx);
-            d7_expr(rhs, env, cx);
+        } if op.is_overflow_hazard()
+            && !rhs.is_literal()
+            && (d7_hazard(lhs, env, cx) || d7_hazard(rhs, env, cx)) =>
+        {
+            d7_report(e.line, *op, cx);
         }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            d7_expr(lhs, env, cx);
-            d7_expr(rhs, env, cx);
+        _ => {}
+    }
+    for c in e.children() {
+        match c {
+            Child::Expr(x) => d7_expr(x, env, cx),
+            Child::Block(b) => d7_block(b, env, cx),
         }
-        ExprKind::Unary { expr: i, .. }
-        | ExprKind::Ref(i)
-        | ExprKind::Cast { expr: i, .. }
-        | ExprKind::Try(i)
-        | ExprKind::Paren(i) => d7_expr(i, env, cx),
-        ExprKind::Call { callee, args } => {
-            d7_expr(callee, env, cx);
-            for a in args {
-                d7_expr(a, env, cx);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            d7_expr(recv, env, cx);
-            for a in args {
-                d7_expr(a, env, cx);
-            }
-        }
-        ExprKind::Field { base, .. } => d7_expr(base, env, cx),
-        ExprKind::Index { base, index } => {
-            d7_expr(base, env, cx);
-            d7_expr(index, env, cx);
-        }
-        ExprKind::MacroCall { args, .. } => {
-            for a in args {
-                d7_expr(a, env, cx);
-            }
-        }
-        ExprKind::StructLit { fields, base, .. } => {
-            for (_, fe) in fields {
-                d7_expr(fe, env, cx);
-            }
-            if let Some(be) = base {
-                d7_expr(be, env, cx);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => {
-            for i in es {
-                d7_expr(i, env, cx);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            d7_expr(cond, env, cx);
-            d7_block(then, env, cx);
-            if let Some(el) = els {
-                d7_expr(el, env, cx);
-            }
-        }
-        ExprKind::IfLet {
-            expr: scrut,
-            then,
-            els,
-            ..
-        } => {
-            d7_expr(scrut, env, cx);
-            d7_block(then, env, cx);
-            if let Some(el) = els {
-                d7_expr(el, env, cx);
-            }
-        }
-        ExprKind::Match { scrut, arms } => {
-            d7_expr(scrut, env, cx);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    d7_expr(g, env, cx);
-                }
-                d7_expr(&arm.body, env, cx);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            d7_expr(cond, env, cx);
-            d7_block(body, env, cx);
-        }
-        ExprKind::WhileLet {
-            expr: scrut, body, ..
-        } => {
-            d7_expr(scrut, env, cx);
-            d7_block(body, env, cx);
-        }
-        ExprKind::For { iter, body, .. } => {
-            d7_expr(iter, env, cx);
-            d7_block(body, env, cx);
-        }
-        ExprKind::Loop { body } => d7_block(body, env, cx),
-        ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => d7_block(b, env, cx),
-        ExprKind::Closure { body, .. } => d7_expr(body, env, cx),
-        ExprKind::Return(i) | ExprKind::Break(i) => {
-            if let Some(i) = i {
-                d7_expr(i, env, cx);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(i) = lo {
-                d7_expr(i, env, cx);
-            }
-            if let Some(i) = hi {
-                d7_expr(i, env, cx);
-            }
-        }
-        ExprKind::Path(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str
-        | ExprKind::Bool(_)
-        | ExprKind::Continue => {}
     }
 }
 
-fn d7_report(line: u32, op: crate::ast::BinOp, cx: &mut D7Cx<'_>) {
+fn d7_report(line: u32, op: BinOp, cx: &mut D7Cx<'_>) {
     cx.out.push(Finding {
         rel_path: cx.rel_path.to_string(),
         diag: Diagnostic {
@@ -675,11 +1120,10 @@ impl D9Scan<'_, '_> {
     /// when `findings` is armed.
     fn expr(&mut self, e: &Expr) -> bool {
         match &e.kind {
-            ExprKind::Path(p) => match p.as_slice() {
+            ExprKind::Path(p, _) => match p.as_slice() {
                 [one] => self.env.contains(one),
                 _ => false,
             },
-            ExprKind::Num(_) | ExprKind::Str | ExprKind::Bool(_) | ExprKind::Continue => false,
             ExprKind::Call { callee, args } => {
                 let mut t = false;
                 for a in args {
@@ -695,7 +1139,9 @@ impl D9Scan<'_, '_> {
                 }
                 t
             }
-            ExprKind::MethodCall { recv, name, args } => {
+            ExprKind::MethodCall {
+                recv, name, args, ..
+            } => {
                 if name == "now_ns" {
                     return true;
                 }
@@ -727,7 +1173,9 @@ impl D9Scan<'_, '_> {
                 };
                 rt || arg_taints.into_iter().any(|t| t) || summary
             }
-            ExprKind::StructLit { path, fields, base } => {
+            ExprKind::StructLit {
+                path, fields, base, ..
+            } => {
                 let mut t = false;
                 for (_, fe) in fields {
                     let ft = self.expr(fe);
@@ -746,40 +1194,10 @@ impl D9Scan<'_, '_> {
                 }
                 t
             }
-            ExprKind::Binary { lhs, rhs, .. } => {
-                let l = self.expr(lhs);
-                let r = self.expr(rhs);
-                l || r
-            }
             ExprKind::Assign { lhs, rhs, .. } => {
                 self.expr(lhs);
                 self.expr(rhs);
                 false
-            }
-            ExprKind::Unary { expr: i, .. }
-            | ExprKind::Ref(i)
-            | ExprKind::Cast { expr: i, .. }
-            | ExprKind::Try(i)
-            | ExprKind::Paren(i) => self.expr(i),
-            ExprKind::Field { base, .. } => self.expr(base),
-            ExprKind::Index { base, index } => {
-                let b = self.expr(base);
-                let i = self.expr(index);
-                b || i
-            }
-            ExprKind::MacroCall { args, .. } => {
-                let mut t = false;
-                for a in args {
-                    t |= self.expr(a);
-                }
-                t
-            }
-            ExprKind::Tuple(es) | ExprKind::Array(es) => {
-                let mut t = false;
-                for i in es {
-                    t |= self.expr(i);
-                }
-                t
             }
             ExprKind::If { cond, then, els } => {
                 self.expr(cond);
@@ -849,8 +1267,6 @@ impl D9Scan<'_, '_> {
                 self.block(body);
                 false
             }
-            ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => self.block(b),
-            ExprKind::Closure { body, .. } => self.expr(body),
             ExprKind::Return(i) => {
                 if let Some(i) = i {
                     if self.expr(i) {
@@ -865,11 +1281,15 @@ impl D9Scan<'_, '_> {
                 }
                 false
             }
-            ExprKind::Range { lo, hi } => {
-                let l = lo.as_ref().is_some_and(|i| self.expr(i));
-                let h = hi.as_ref().is_some_and(|i| self.expr(i));
-                l || h
-            }
+            // Everything else is tainted when any child is (all children
+            // are scanned: each may hold a sink).
+            _ => e.children().into_iter().fold(false, |t, c| {
+                let ct = match c {
+                    Child::Expr(x) => self.expr(x),
+                    Child::Block(b) => self.block(b),
+                };
+                t || ct
+            }),
         }
     }
 
@@ -938,7 +1358,7 @@ struct AtomicCell {
 
 fn ordering_of(args: &[Expr]) -> Option<String> {
     args.iter().find_map(|a| match &a.kind {
-        ExprKind::Path(p) => p
+        ExprKind::Path(p, _) => p
             .last()
             .filter(|s| ORDERINGS.contains(&s.as_str()))
             .cloned(),
@@ -954,7 +1374,10 @@ fn check_d10_atomics(ws: &Workspace, out: &mut Vec<Finding>) {
         }
         let Some(body) = &f.def.body else { continue };
         walk_block(body, &mut |e| {
-            let ExprKind::MethodCall { recv, name, args } = &e.kind else {
+            let ExprKind::MethodCall {
+                recv, name, args, ..
+            } = &e.kind
+            else {
                 return;
             };
             let Some(ord) = ordering_of(args) else {
@@ -1127,7 +1550,10 @@ fn d10b_block(b: &Block, live: &mut Vec<LockGuard>, cx: &mut D10bCx<'_>) {
                     d10b_block(eb, live, cx);
                 }
                 live.truncate(stmt_mark); // init temporaries die at the `;`
-                if let Pat::Bind { name, sub: None } = pat {
+                if let Pat::Bind {
+                    name, sub: None, ..
+                } = pat
+                {
                     if let Some(key) = init.as_ref().and_then(acquire_key) {
                         live.push(LockGuard {
                             var: Some(name.clone()),
@@ -1172,114 +1598,11 @@ fn d10b_expr(e: &Expr, live: &mut Vec<LockGuard>, cx: &mut D10bCx<'_>) {
         live.push(LockGuard { var: None, key });
         return;
     }
-    match &e.kind {
-        ExprKind::Unary { expr: i, .. }
-        | ExprKind::Ref(i)
-        | ExprKind::Cast { expr: i, .. }
-        | ExprKind::Try(i)
-        | ExprKind::Paren(i) => d10b_expr(i, live, cx),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            d10b_expr(lhs, live, cx);
-            d10b_expr(rhs, live, cx);
+    for c in e.children() {
+        match c {
+            Child::Expr(x) => d10b_expr(x, live, cx),
+            Child::Block(b) => d10b_block(b, live, cx),
         }
-        ExprKind::Call { callee, args } => {
-            d10b_expr(callee, live, cx);
-            for a in args {
-                d10b_expr(a, live, cx);
-            }
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            d10b_expr(recv, live, cx);
-            for a in args {
-                d10b_expr(a, live, cx);
-            }
-        }
-        ExprKind::Field { base, .. } => d10b_expr(base, live, cx),
-        ExprKind::Index { base, index } => {
-            d10b_expr(base, live, cx);
-            d10b_expr(index, live, cx);
-        }
-        ExprKind::MacroCall { args, .. } => {
-            for a in args {
-                d10b_expr(a, live, cx);
-            }
-        }
-        ExprKind::StructLit { fields, base, .. } => {
-            for (_, fe) in fields {
-                d10b_expr(fe, live, cx);
-            }
-            if let Some(be) = base {
-                d10b_expr(be, live, cx);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => {
-            for i in es {
-                d10b_expr(i, live, cx);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            d10b_expr(cond, live, cx);
-            d10b_block(then, live, cx);
-            if let Some(el) = els {
-                d10b_expr(el, live, cx);
-            }
-        }
-        ExprKind::IfLet {
-            expr: scrut,
-            then,
-            els,
-            ..
-        } => {
-            d10b_expr(scrut, live, cx);
-            d10b_block(then, live, cx);
-            if let Some(el) = els {
-                d10b_expr(el, live, cx);
-            }
-        }
-        ExprKind::Match { scrut, arms } => {
-            d10b_expr(scrut, live, cx);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    d10b_expr(g, live, cx);
-                }
-                d10b_expr(&arm.body, live, cx);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            d10b_expr(cond, live, cx);
-            d10b_block(body, live, cx);
-        }
-        ExprKind::WhileLet {
-            expr: scrut, body, ..
-        } => {
-            d10b_expr(scrut, live, cx);
-            d10b_block(body, live, cx);
-        }
-        ExprKind::For { iter, body, .. } => {
-            d10b_expr(iter, live, cx);
-            d10b_block(body, live, cx);
-        }
-        ExprKind::Loop { body } => d10b_block(body, live, cx),
-        ExprKind::BlockExpr(b) | ExprKind::UnsafeBlock(b) => d10b_block(b, live, cx),
-        ExprKind::Closure { body, .. } => d10b_expr(body, live, cx),
-        ExprKind::Return(i) | ExprKind::Break(i) => {
-            if let Some(i) = i {
-                d10b_expr(i, live, cx);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(i) = lo {
-                d10b_expr(i, live, cx);
-            }
-            if let Some(i) = hi {
-                d10b_expr(i, live, cx);
-            }
-        }
-        ExprKind::Path(_)
-        | ExprKind::Num(_)
-        | ExprKind::Str
-        | ExprKind::Bool(_)
-        | ExprKind::Continue => {}
     }
 }
 
@@ -1450,6 +1773,25 @@ fn frame_len(spec: Option<usize>) -> usize {
             "finding should print the discovery path, got: {}",
             msgs[0]
         );
+    }
+
+    #[test]
+    fn d8_sees_panics_inside_macro_token_trees() {
+        // `vec![x; n]` is not an expression list; its recovered
+        // expressions are the macro's arguments for every rule.
+        let r = run(vec![file(
+            "serve",
+            "handler.rs",
+            r#"use std::net::TcpStream;
+
+pub fn handle(stream: TcpStream, req: Option<u8>, n: usize) -> Vec<u8> {
+    let _ = stream;
+    vec![req.unwrap(); n]
+}
+"#,
+        )]);
+        assert_eq!(lines_for(&r, RuleId::D8), vec![5]);
+        assert_eq!(lines_for(&r, RuleId::D4), vec![5]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! A Rust lexer — tokens faithful enough to drive both the token-pattern
-//! rules (D1–D6) and the recursive-descent parser behind the dataflow
-//! rules (D7–D10, [`crate::parser`]).
+//! A Rust lexer — tokens faithful enough to drive the recursive-descent
+//! parser ([`crate::parser`]) every rule runs on.
 //!
 //! The stream keeps identifiers, punctuation (multi-character operators
 //! joined by maximal munch), lifetimes, and literal *placeholders*
 //! (numeric text is kept for the parser's const-generic and tuple-index
 //! handling; string/char contents are dropped so pattern text inside docs
 //! or fixtures can never trip a rule). Comments are collected separately
-//! — allow/bounded pragmas live there. Full macro expansion and type
-//! resolution remain deliberately out of scope; see the per-rule notes in
-//! `rules.rs` and `dataflow.rs` for the accepted approximations.
+//! — allow/bounded pragmas live there, read from the same [`Lexed`] the
+//! parser consumes, so each file is lexed once per lint run. Full macro
+//! expansion and type resolution remain deliberately out of scope; see
+//! the per-rule notes in `dataflow.rs` for the accepted approximations.
 
 /// One significant token.
 #[derive(Clone, Debug, PartialEq, Eq)]

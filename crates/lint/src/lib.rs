@@ -1,19 +1,24 @@
 //! `mlpsim-lint` — workspace static analysis for simulator determinism
 //! and cost-model soundness.
 //!
-//! Layered pipeline, all dependency-free:
+//! One engine, all dependency-free: every file is lexed once and parsed
+//! once, and every rule runs over the resulting ASTs in one pass.
 //!
 //! 1. [`lexer`] — tokens plus comments (pragmas live in comments).
-//! 2. [`rules`] — token-pattern rules D1–D6 and the pragma machinery.
-//! 3. [`parser`] / [`ast`] — a recursive-descent parser for the Rust
+//! 2. [`parser`] / [`ast`] — a recursive-descent parser for the Rust
 //!    subset this workspace uses; every workspace file must parse
 //!    (enforced by `tests/self_parse.rs`).
-//! 4. [`symbols`] / [`callgraph`] — workspace-wide type and function
-//!    indexes over the ASTs.
-//! 5. [`dataflow`] — the AST/interprocedural rules D7–D10.
+//! 3. [`symbols`] — the parsed files, their pragmas, and workspace-wide
+//!    type and function indexes; [`callgraph`] on top of them.
+//! 4. [`dataflow`] — the rules: D1–D6 and D11 per file, D7–D10 across
+//!    the workspace.
+//! 5. [`rules`] — rule ids, diagnostics, and pragma parsing.
 //! 6. [`sarif`] — SARIF 2.1.0 emission for code-scanning upload.
 //!
-//! The binary (`main.rs`) is a thin driver over [`lint_workspace`].
+//! Test code — an item under `#[test]`, `#[cfg(test)]` or
+//! `#[cfg(all(…, test, …))]` ([`ast::Attr::is_test_gate`]) — is out of scope
+//! for every rule. The binary (`main.rs`) is a thin driver over
+//! [`lint_workspace`].
 
 pub mod ast;
 pub mod callgraph;
@@ -24,8 +29,9 @@ pub mod rules;
 pub mod sarif;
 pub mod symbols;
 
-use rules::{check_file, Diagnostic, FileScope};
+use rules::Diagnostic;
 use std::path::{Path, PathBuf};
+use symbols::Workspace;
 
 /// One analyzed source file, as loaded from disk or planted by a test.
 #[derive(Clone, Debug)]
@@ -49,7 +55,7 @@ pub struct Finding {
 pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Files that failed to parse: `(rel_path, error)`. Parse failures
-    /// fail the run — the dataflow rules are blind where the parser is.
+    /// fail the run — every rule is blind where the parser is.
     pub parse_errors: Vec<(String, String)>,
     pub files_checked: usize,
 }
@@ -60,40 +66,43 @@ impl LintReport {
     }
 }
 
-/// Lints a set of in-memory files: token rules D1–D6 and D11 per file,
-/// then the AST/dataflow rules D7–D10 across the whole set. Findings are
-/// sorted by (path, line, rule) so output is deterministic.
+/// Lints a set of in-memory files in one pass: parse each once, run
+/// every rule, then apply pragma suppression (an allow on line L covers
+/// findings on L and L+1). Findings are sorted by (path, line, rule) so
+/// output is deterministic.
 pub fn lint_files(files: &[InputFile]) -> LintReport {
-    let mut report = LintReport {
-        files_checked: files.len(),
-        ..LintReport::default()
-    };
-    for f in files {
-        for d in check_file(
-            FileScope {
-                crate_key: &f.crate_key,
-                rel_path: &f.rel_path,
-            },
-            &f.src,
-        ) {
-            report.findings.push(Finding {
-                rel_path: f.rel_path.clone(),
-                diag: d,
-            });
-        }
+    let (ws, parse_errors) = Workspace::build(files);
+    let mut findings = Vec::new();
+    dataflow::check_workspace(&ws, &mut findings);
+    findings.retain(|f| {
+        !ws.files.iter().any(|p| {
+            p.rel_path == f.rel_path
+                && p.allows
+                    .iter()
+                    .any(|(l, r)| *r == f.diag.rule && (f.diag.line == *l || f.diag.line == *l + 1))
+        })
+    });
+    for f in &ws.files {
+        findings.extend(f.bad_pragmas.iter().map(|diag| Finding {
+            rel_path: f.rel_path.clone(),
+            diag: diag.clone(),
+        }));
     }
-    dataflow::check_workspace(files, &mut report);
-    report.findings.sort_by(|a, b| {
+    findings.sort_by(|a, b| {
         (&a.rel_path, a.diag.line, a.diag.rule.name()).cmp(&(
             &b.rel_path,
             b.diag.line,
             b.diag.rule.name(),
         ))
     });
-    report.findings.dedup_by(|a, b| {
+    findings.dedup_by(|a, b| {
         a.rel_path == b.rel_path && a.diag.line == b.diag.line && a.diag.rule == b.diag.rule
     });
-    report
+    LintReport {
+        findings,
+        parse_errors,
+        files_checked: files.len(),
+    }
 }
 
 /// Loads every lintable `.rs` file under `root` (the workspace root) and

@@ -8,9 +8,10 @@
 //! cargo run -p mlpsim-lint -- <root>         # lint an explicit workspace root
 //! ```
 //!
-//! Rules D1–D6 are token-pattern rules; D7–D10 are AST/call-graph
-//! dataflow rules (see `--rules` and the `rules`/`dataflow` module docs).
-//! Scanned: `src/` of the root package and every `crates/*/src`, skipping
+//! One engine: every file is lexed and parsed once and every rule,
+//! D1–D11, runs over the ASTs, with test code (`#[test]`, `#[cfg(test)]`,
+//! `#[cfg(all(…, test, …))]`) out of scope (see `--rules` and the `dataflow`
+//! module docs). Scanned: `src/` of the root package and every `crates/*/src`, skipping
 //! `tests/`, `benches/`, `vendor/`, and `target/`. Files are visited in
 //! sorted order so output is deterministic (the linter holds itself to
 //! its own standard).
@@ -102,7 +103,14 @@ fn workspace_root() -> PathBuf {
 const RULES_HELP: &str = "\
 mlpsim-lint rules (escape: `// lint: allow(D<n>, \"justification\")` on or
 above the offending line; D7 additionally accepts
-`// lint: bounded(\"why the arithmetic cannot overflow\")`):
+`// lint: bounded(\"why the arithmetic cannot overflow\")`).
+
+Every rule runs on the parsed AST: every workspace file must parse, and
+a parse error fails the run. Test code — an item under #[test],
+#[cfg(test)] or #[cfg(all(..test..))] — is out of scope for every rule;
+#[cfg(not(test))] and #[cfg(any(test, ..))] code is checked.
+
+Per-file rules:
 
   D1  no HashMap/HashSet iteration in crates cache, core, mem, exec.
       Unordered iteration feeds victim selection and sweep output, making
@@ -110,24 +118,29 @@ above the offending line; D7 additionally accepts
       remove/contains_key) are fine; iterate a Vec/BTreeMap or sort first.
 
   D2  no SystemTime / Instant / thread_rng in crates cache, core, mem,
-      cpu, exec, trace, telemetry. Simulated time is cycle counts;
-      randomness must be a seeded generator owned by the workload spec.
-      Host wall-clock reads go through the audited telemetry::prof clock
-      shim, whose own Instant uses carry the allow pragma. (Experiment
-      binaries may time wall-clock — they are outside this rule.)
+      cpu, exec, trace, telemetry, model — wherever the source names
+      them: expressions, `use` paths, patterns, and every type (generic
+      args, bounds, where clauses, impl headers, aliases, turbofish).
+      Simulated time is cycle counts; randomness must be a seeded
+      generator owned by the workload spec. Host wall-clock reads go
+      through the audited telemetry::prof clock shim, whose own Instant
+      uses carry the allow pragma.
+      (Experiment binaries may time wall-clock — they are outside this
+      rule.)
 
   D3  no bare `as` numeric casts in crate core (the paper's cost model:
       Algorithm 1 accumulation, cost_q quantization, PSEL arithmetic).
       Use From/TryFrom or the documented helpers in mlpsim_core::convert.
 
-  D4  no unwrap()/panic! outside #[cfg(test)] code, in any crate. CLI
-      input and IO failures must print an error and exit nonzero;
-      genuine invariants use expect(\"proof\") or assert!.
+  D4  no unwrap()/panic! outside test code, in any crate. CLI input and
+      IO failures must print an error and exit nonzero; genuine
+      invariants use expect(\"proof\") or assert!.
 
-  D5  every probe.emit(..) call, in any crate, must sit under an
-      `if P::ENABLED` guard (compound conditions like
-      `P::ENABLED && n > 0` count). The Probe trait's const gate is
-      what makes NoProbe telemetry compile to nothing; an unguarded
+  D5  every probe.emit(..) call, in any crate, must sit in the
+      then-block of an `if` whose condition implies the P::ENABLED gate:
+      the gate itself or a conjunct of `&&` (`P::ENABLED && n > 0`); a
+      negated gate or one side of `||` does not. The Probe trait's const
+      gate is what makes NoProbe telemetry compile to nothing; an unguarded
       emission still builds its event payload. Runtime-gated
       SinkHandle::emit is a different mechanism and exempt.
 
@@ -137,8 +150,12 @@ above the offending line; D7 additionally accepts
       read by blocking server threads; without a timeout one stalled
       client parks a thread forever (slow-loris).
 
-AST / call-graph dataflow rules (parser-backed; every workspace file
-must parse — a parse error fails the run):
+  D11 no bare eprintln! in crates/serve request-path code (the log
+      helper, the bin/ CLIs and the client library are exempt). Every
+      server stderr line goes through serve::log as one parseable JSON
+      document carrying the request's trace id.
+
+Workspace rules (symbol table and call graph):
 
   D7  bare `+` `-` `*` `<<` on cycle/address/timestamp-typed values in
       crates cache, core, mem, cpu. Simulated clocks and line addresses

@@ -3,25 +3,26 @@
 //!
 //! Scope: everything the workspace's `src/` trees contain — items (fns,
 //! structs, enums, traits, impls, consts, statics, modules, extern
-//! blocks, item macros), full expression grammar with precedence
-//! climbing, patterns (or/at/range/slice/struct), declared types with
-//! generic args, `let`-`else`, closures, and macro calls (args parsed as
-//! expressions when the token tree is expression-shaped, identifier bag
-//! otherwise). Deliberately out of scope, because no file here needs
-//! them: labeled loops/breaks, HRTBs (`for<'a>`), `async`, qualified
-//! trait bounds in expression position beyond `<T as Trait>::x`.
+//! blocks, item macros) with their generic parameters, bounds and where
+//! clauses, full expression grammar with precedence climbing, patterns
+//! (or/at/range/slice/struct), declared types with generic args,
+//! `let`-`else`, closures, and macro calls (args parsed as expressions
+//! when the token tree is expression-shaped, otherwise every expression
+//! recovered from it). Every type the source names is kept in the tree.
+//! Deliberately out of scope, because no file here needs them: labeled
+//! loops/breaks, `async`, qualified trait bounds in expression position
+//! beyond `<T as Trait>::x`.
 //!
 //! Error handling: hard `Err` with line and message. The workspace
 //! self-parse test (`tests/self_parse.rs`) holds the parser to zero
 //! errors over every `.rs` file, so a construct drifting out of the
-//! subset fails CI loudly instead of silently degrading the dataflow
-//! rules.
+//! subset fails CI loudly instead of silently blinding every rule.
 
 use crate::ast::{
-    Arm, Attr, BinOp, Block, Expr, ExprKind, Field, FnDef, Item, ItemKind, Param, Pat, SourceFile,
-    Stmt, Ty, Variant,
+    Arm, Attr, BinOp, Block, Expr, ExprKind, Field, FnDef, Item, ItemKind, Meta, Param, Pat,
+    SourceFile, Stmt, Ty, Variant,
 };
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex, Lexed, Token, TokenKind};
 
 /// A parse failure, fatal for the file.
 #[derive(Clone, Debug)]
@@ -38,11 +39,17 @@ impl std::fmt::Display for ParseError {
 
 /// Parses a whole source file.
 pub fn parse_file(src: &str) -> Result<SourceFile, ParseError> {
-    let lexed = lex(src);
+    parse_lexed(&lex(src))
+}
+
+/// Parses an already-lexed file (the lint pass lexes each file once and
+/// reads pragmas from the same [`Lexed`]).
+pub fn parse_lexed(lexed: &Lexed) -> Result<SourceFile, ParseError> {
     let mut p = Parser {
         t: &lexed.tokens,
         pos: 0,
         half_gt: false,
+        generics: Vec::new(),
     };
     let items = p.parse_items(false)?;
     if p.pos < p.t.len() {
@@ -68,6 +75,9 @@ struct Parser<'a> {
     pos: usize,
     /// A `>>` token half-consumed as the inner `>` of nested generics.
     half_gt: bool,
+    /// The types named by the generic parameters, bounds and where
+    /// clause of the item being parsed (see [`Item::generics`]).
+    generics: Vec<Ty>,
 }
 
 impl<'a> Parser<'a> {
@@ -209,8 +219,8 @@ impl<'a> Parser<'a> {
     // ---- shared skippers ------------------------------------------------
 
     /// Skips a balanced delimiter run starting at the current open
-    /// delimiter, collecting identifier texts seen inside.
-    fn skip_balanced(&mut self, idents: &mut Vec<String>) -> PResult<()> {
+    /// delimiter.
+    fn skip_balanced(&mut self) -> PResult<()> {
         let (open, close) = match self.kind() {
             Some(TokenKind::Punct('(')) => ('(', ')'),
             Some(TokenKind::Punct('[')) => ('[', ']'),
@@ -229,55 +239,89 @@ impl<'a> Parser<'a> {
                         return Ok(());
                     }
                 }
-                Some(TokenKind::Ident(s)) => idents.push(s.clone()),
                 _ => {}
             }
             self.bump();
         }
     }
 
-    /// Skips `<generic params>` if present (angle-bracket balanced;
-    /// `<<`/`>>` count twice; `->` in `F: Fn() -> R` bounds is inert).
-    fn skip_generics(&mut self) -> PResult<()> {
-        if !self.check_punct('<') {
+    /// The index of the delimiter closing the one at the cursor.
+    fn closing(&mut self) -> PResult<usize> {
+        let start = self.save();
+        self.skip_balanced()?;
+        let end = self.pos - 1;
+        self.restore(start);
+        Ok(end)
+    }
+
+    /// `<'a, T: Bound = Default, const N: usize>` if present: the types
+    /// each parameter names go to [`Parser::generics`].
+    fn parse_generic_params(&mut self) -> PResult<()> {
+        if !self.eat_punct('<') {
             return Ok(());
         }
-        let mut depth = 0i32;
         loop {
-            match self.kind() {
-                None => return Err(self.err("unterminated generics")),
-                Some(TokenKind::Punct('<')) => depth += 1,
-                Some(TokenKind::Op("<<")) => depth += 2,
-                Some(TokenKind::Punct('>')) => depth -= 1,
-                Some(TokenKind::Op(">>")) => depth -= 2,
-                _ => {}
+            if self.check_gt() {
+                return self.bump_gt();
             }
-            self.bump();
-            if depth <= 0 {
-                return Ok(());
+            self.parse_attrs()?;
+            if matches!(self.kind(), Some(TokenKind::Lifetime(_))) {
+                self.bump();
+                if self.eat_punct(':') {
+                    self.parse_bounds()?; // lifetimes only
+                }
+            } else if self.eat_kw("const") {
+                self.expect_ident()?;
+                self.expect_punct(':')?;
+                let ty = self.parse_ty()?;
+                self.generics.push(ty);
+                if self.eat_punct('=') {
+                    let default = self.parse_const_arg()?;
+                    self.generics.push(default);
+                }
+            } else {
+                self.expect_ident()?;
+                if self.eat_punct(':') {
+                    let bounds = self.parse_bounds()?;
+                    self.generics.extend(bounds);
+                }
+                if self.eat_punct('=') {
+                    let default = self.parse_ty()?;
+                    self.generics.push(default);
+                }
+            }
+            if !self.eat_punct(',') && !self.check_gt() {
+                return Err(self.err("expected `,` or `>` in generic parameters"));
             }
         }
     }
 
-    /// Skips a `where` clause if present, stopping before `{` or `;` at
-    /// angle depth zero.
-    fn skip_where(&mut self) -> PResult<()> {
+    /// A `where` clause if present, up to the `{`, `;` or `=` after it:
+    /// bounded types and their bounds go to [`Parser::generics`].
+    fn parse_where(&mut self) -> PResult<()> {
         if !self.eat_kw("where") {
             return Ok(());
         }
-        let mut angle = 0i32;
-        loop {
-            match self.kind() {
-                None => return Err(self.err("unterminated where clause")),
-                Some(TokenKind::Punct('{') | TokenKind::Punct(';')) if angle <= 0 => return Ok(()),
-                Some(TokenKind::Punct('<')) => angle += 1,
-                Some(TokenKind::Op("<<")) => angle += 2,
-                Some(TokenKind::Punct('>')) => angle -= 1,
-                Some(TokenKind::Op(">>")) => angle -= 2,
-                _ => {}
+        while !(self.check_punct('{') || self.check_punct(';') || self.check_punct('=')) {
+            if matches!(self.kind(), Some(TokenKind::Lifetime(_))) {
+                self.bump();
+                self.expect_punct(':')?;
+                self.parse_bounds()?;
+            } else {
+                if self.eat_kw("for") {
+                    self.parse_generic_params()?; // `for<'a>`: lifetimes only
+                }
+                let ty = self.parse_ty()?;
+                self.generics.push(ty);
+                self.expect_punct(':')?;
+                let bounds = self.parse_bounds()?;
+                self.generics.extend(bounds);
             }
-            self.bump();
+            if !self.eat_punct(',') {
+                break;
+            }
         }
+        Ok(())
     }
 
     /// Parses `#[…]` / `#![…]` attribute runs. Inner attributes are
@@ -289,10 +333,46 @@ impl<'a> Parser<'a> {
             let line = self.line();
             self.bump();
             let inner = self.eat_punct('!');
-            let mut idents = Vec::new();
-            self.skip_balanced(&mut idents)?;
-            if !inner {
-                out.push(Attr { idents, line });
+            let end = self.closing()?;
+            self.bump();
+            let meta = self.parse_metas(end)?.into_iter().next();
+            self.pos = end + 1;
+            if let (false, Some(meta)) = (inner, meta) {
+                out.push(Attr { meta, line });
+            }
+        }
+        Ok(out)
+    }
+
+    /// The metas before token index `end`: `name`, `a::name`,
+    /// `name(metas…)`, `name = literal`. Tokens that start none (`=`,
+    /// literals, other delimiters) are skipped.
+    fn parse_metas(&mut self, end: usize) -> PResult<Vec<Meta>> {
+        let mut out = Vec::new();
+        while self.pos < end {
+            match self.kind() {
+                Some(TokenKind::Ident(name)) => {
+                    let mut meta = Meta {
+                        name: name.clone(),
+                        args: Vec::new(),
+                    };
+                    self.bump();
+                    while self.check_op("::")
+                        && matches!(self.kind_at(1), Some(TokenKind::Ident(_)))
+                    {
+                        self.bump();
+                        meta.name = self.expect_ident()?;
+                    }
+                    if self.check_punct('(') {
+                        let close = self.closing()?;
+                        self.bump();
+                        meta.args = self.parse_metas(close)?;
+                        self.pos = close + 1;
+                    }
+                    out.push(meta);
+                }
+                Some(TokenKind::Punct('(' | '[' | '{')) => self.skip_balanced()?,
+                _ => self.bump(),
             }
         }
         Ok(out)
@@ -301,7 +381,7 @@ impl<'a> Parser<'a> {
     /// Parses and drops a visibility qualifier (`pub`, `pub(crate)`, …).
     fn parse_vis(&mut self) -> PResult<()> {
         if self.eat_kw("pub") && self.check_punct('(') {
-            self.skip_balanced(&mut Vec::new())?;
+            self.skip_balanced()?;
         }
         Ok(())
     }
@@ -324,17 +404,26 @@ impl<'a> Parser<'a> {
         let attrs = self.parse_attrs()?;
         let line = self.line();
         self.parse_vis()?;
-        let kind = self.parse_item_kind()?;
-        Ok(Item { attrs, kind, line })
+        let outer = std::mem::take(&mut self.generics);
+        let kind = self.parse_item_kind();
+        let generics = std::mem::replace(&mut self.generics, outer);
+        Ok(Item {
+            attrs,
+            kind: kind?,
+            generics,
+            line,
+        })
     }
 
     fn parse_item_kind(&mut self) -> PResult<ItemKind> {
         match self.kind() {
             Some(TokenKind::Ident(s)) => match s.as_str() {
                 "use" => {
-                    // `use a::b::{c, d};` — skip to the `;` at brace depth 0.
+                    // `use a::b::{c, d};` — collect to the `;` at brace
+                    // depth 0.
                     self.bump();
                     let mut depth = 0i32;
+                    let mut idents = Vec::new();
                     loop {
                         match self.kind() {
                             None => return Err(self.err("unterminated use")),
@@ -342,8 +431,9 @@ impl<'a> Parser<'a> {
                             Some(TokenKind::Punct('}')) => depth -= 1,
                             Some(TokenKind::Punct(';')) if depth == 0 => {
                                 self.bump();
-                                return Ok(ItemKind::Use);
+                                return Ok(ItemKind::Use { idents });
                             }
+                            Some(TokenKind::Ident(s)) => idents.push((s.clone(), self.line())),
                             _ => {}
                         }
                         self.bump();
@@ -367,13 +457,13 @@ impl<'a> Parser<'a> {
                 "struct" => {
                     self.bump();
                     let name = self.expect_ident()?;
-                    self.skip_generics()?;
-                    self.skip_where()?;
+                    self.parse_generic_params()?;
+                    self.parse_where()?;
                     let fields = if self.eat_punct(';') {
                         Vec::new() // unit struct
                     } else if self.check_punct('(') {
                         let f = self.parse_tuple_fields()?;
-                        self.skip_where()?;
+                        self.parse_where()?;
                         self.expect_punct(';')?;
                         f
                     } else {
@@ -384,12 +474,13 @@ impl<'a> Parser<'a> {
                 "enum" => {
                     self.bump();
                     let name = self.expect_ident()?;
-                    self.skip_generics()?;
-                    self.skip_where()?;
+                    self.parse_generic_params()?;
+                    self.parse_where()?;
                     self.expect_punct('{')?;
                     let mut variants = Vec::new();
                     while !self.check_punct('}') {
                         self.parse_attrs()?;
+                        let vline = self.line();
                         let vname = self.expect_ident()?;
                         let fields = if self.check_punct('(') {
                             self.parse_tuple_fields()?
@@ -398,12 +489,16 @@ impl<'a> Parser<'a> {
                         } else {
                             Vec::new()
                         };
-                        if self.eat_punct('=') {
-                            self.parse_expr(FREE)?; // discriminant
-                        }
+                        let discriminant = if self.eat_punct('=') {
+                            Some(self.parse_expr(FREE)?)
+                        } else {
+                            None
+                        };
                         variants.push(Variant {
                             name: vname,
                             fields,
+                            discriminant,
+                            line: vline,
                         });
                         if !self.eat_punct(',') {
                             break;
@@ -415,11 +510,12 @@ impl<'a> Parser<'a> {
                 "trait" => {
                     self.bump();
                     let name = self.expect_ident()?;
-                    self.skip_generics()?;
+                    self.parse_generic_params()?;
                     if self.eat_punct(':') {
-                        self.skip_bounds()?;
+                        let supertraits = self.parse_bounds()?;
+                        self.generics.extend(supertraits);
                     }
-                    self.skip_where()?;
+                    self.parse_where()?;
                     self.expect_punct('{')?;
                     let items = self.parse_items(true)?;
                     self.expect_punct('}')?;
@@ -427,24 +523,20 @@ impl<'a> Parser<'a> {
                 }
                 "impl" => {
                     self.bump();
-                    self.skip_generics()?;
+                    self.parse_generic_params()?;
                     let first = self.parse_ty()?;
-                    let (self_ty, trait_name) = if self.eat_kw("for") {
-                        let target = self.parse_ty()?;
-                        (
-                            target.head().unwrap_or("?").to_string(),
-                            Some(first.head().unwrap_or("?").to_string()),
-                        )
+                    let (self_ty, trait_ty) = if self.eat_kw("for") {
+                        (self.parse_ty()?, Some(first))
                     } else {
-                        (first.head().unwrap_or("?").to_string(), None)
+                        (first, None)
                     };
-                    self.skip_where()?;
+                    self.parse_where()?;
                     self.expect_punct('{')?;
                     let items = self.parse_items(true)?;
                     self.expect_punct('}')?;
                     Ok(ItemKind::Impl {
                         self_ty,
-                        trait_name,
+                        trait_ty,
                         items,
                     })
                 }
@@ -452,27 +544,29 @@ impl<'a> Parser<'a> {
                 "type" => {
                     self.bump();
                     let name = self.expect_ident()?;
-                    // `type X = T;` or (in traits) `type X: Bound;` /
-                    // `type X;` — skip the tail either way.
-                    while !self.check_punct(';') {
-                        if self.pos >= self.t.len() {
-                            return Err(self.err("unterminated type alias"));
-                        }
-                        if self.check_punct('<') || self.check_op("<<") {
-                            self.skip_generics()?;
-                        } else {
-                            self.bump();
-                        }
+                    // `type X<P> = T;` or (in traits) `type X: Bound;` /
+                    // `type X;`.
+                    self.parse_generic_params()?;
+                    if self.eat_punct(':') {
+                        let bounds = self.parse_bounds()?;
+                        self.generics.extend(bounds);
                     }
-                    self.bump();
-                    Ok(ItemKind::TypeAlias { name })
+                    self.parse_where()?;
+                    let ty = if self.eat_punct('=') {
+                        Some(self.parse_ty()?)
+                    } else {
+                        None
+                    };
+                    self.parse_where()?;
+                    self.expect_punct(';')?;
+                    Ok(ItemKind::TypeAlias { name, ty })
                 }
                 "macro_rules" => {
                     self.bump();
                     self.expect_punct('!')?;
                     let name = self.expect_ident()?;
-                    self.skip_balanced(&mut Vec::new())?;
-                    Ok(ItemKind::MacroCall { name })
+                    let args = self.recover_exprs()?;
+                    Ok(ItemKind::MacroCall { name, args })
                 }
                 _ => {
                     // Item-position macro call: `thread_local! { … }`.
@@ -480,11 +574,11 @@ impl<'a> Parser<'a> {
                         let name = self.expect_ident()?;
                         self.bump(); // !
                         let paren = self.check_punct('(') || self.check_punct('[');
-                        self.skip_balanced(&mut Vec::new())?;
+                        let args = self.recover_exprs()?;
                         if paren {
                             self.expect_punct(';')?;
                         }
-                        Ok(ItemKind::MacroCall { name })
+                        Ok(ItemKind::MacroCall { name, args })
                     } else {
                         Err(self.err("expected item"))
                     }
@@ -547,26 +641,29 @@ impl<'a> Parser<'a> {
                 return Ok(ItemKind::ExternBlock { items });
             }
             if self.eat_kw("crate") {
+                let mut idents = Vec::new();
                 while !self.eat_punct(';') {
-                    if self.pos >= self.t.len() {
-                        return Err(self.err("unterminated extern crate"));
+                    match self.kind() {
+                        None => return Err(self.err("unterminated extern crate")),
+                        Some(TokenKind::Ident(s)) => idents.push((s.clone(), self.line())),
+                        _ => {}
                     }
                     self.bump();
                 }
-                return Ok(ItemKind::Use);
+                return Ok(ItemKind::Use { idents });
             }
         }
         let line = self.line();
         self.expect_kw("fn")?;
         let name = self.expect_ident()?;
-        self.skip_generics()?;
+        self.parse_generic_params()?;
         let params = self.parse_params()?;
         let ret = if self.eat_op("->") {
             Some(self.parse_ty()?)
         } else {
             None
         };
-        self.skip_where()?;
+        self.parse_where()?;
         let body = if self.eat_punct(';') {
             None
         } else {
@@ -589,6 +686,7 @@ impl<'a> Parser<'a> {
             // Receiver forms: `self`, `mut self`, `&self`, `&mut self`,
             // `&'a self`.
             let s = self.save();
+            let line = self.line();
             let is_recv;
             if self.check_punct('&') {
                 self.bump();
@@ -609,6 +707,7 @@ impl<'a> Parser<'a> {
                     pat: Pat::Bind {
                         name: "self".to_string(),
                         sub: None,
+                        line,
                     },
                     ty: Ty::SelfTy,
                 });
@@ -723,15 +822,15 @@ impl<'a> Parser<'a> {
             Some(TokenKind::Punct('[')) => {
                 self.bump();
                 let inner = self.parse_ty()?;
-                let arr = self.eat_punct(';');
-                if arr {
-                    self.parse_expr(FREE)?; // length
-                }
-                self.expect_punct(']')?;
-                Ok(if arr {
-                    Ty::Array(Box::new(inner))
+                let len = if self.eat_punct(';') {
+                    Some(self.parse_expr(FREE)?)
                 } else {
-                    Ty::Slice(Box::new(inner))
+                    None
+                };
+                self.expect_punct(']')?;
+                Ok(match len {
+                    Some(len) => Ty::Array(Box::new(inner), Box::new(len)),
+                    None => Ty::Slice(Box::new(inner)),
                 })
             }
             Some(TokenKind::Punct('!')) => {
@@ -740,10 +839,11 @@ impl<'a> Parser<'a> {
             }
             Some(TokenKind::Punct('<')) => {
                 // Qualified path type `<T as Trait>::Assoc`.
+                let line = self.line();
                 self.bump();
-                self.parse_ty()?;
+                let mut args = vec![self.parse_ty()?];
                 if self.eat_kw("as") {
-                    self.parse_ty()?;
+                    args.push(self.parse_ty()?);
                 }
                 self.bump_gt()?;
                 let mut segments = Vec::new();
@@ -752,22 +852,18 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Ty::Path {
                     segments,
-                    args: Vec::new(),
+                    args,
+                    line,
                 })
             }
             Some(TokenKind::Ident(s)) => match s.as_str() {
                 "dyn" | "impl" => {
                     self.bump();
-                    self.skip_bounds()?;
-                    Ok(Ty::Opaque)
+                    Ok(Ty::Opaque(self.parse_bounds()?))
                 }
                 "fn" => {
                     self.bump();
-                    self.skip_balanced(&mut Vec::new())?; // params
-                    if self.eat_op("->") {
-                        self.parse_ty()?;
-                    }
-                    Ok(Ty::FnPtr)
+                    Ok(Ty::FnPtr(self.parse_fn_sig_tys()?))
                 }
                 "extern" => {
                     // `extern "C" fn(…)` pointer type.
@@ -776,13 +872,10 @@ impl<'a> Parser<'a> {
                         self.bump();
                     }
                     self.expect_kw("fn")?;
-                    self.skip_balanced(&mut Vec::new())?;
-                    if self.eat_op("->") {
-                        self.parse_ty()?;
-                    }
-                    Ok(Ty::FnPtr)
+                    Ok(Ty::FnPtr(self.parse_fn_sig_tys()?))
                 }
                 "Self" => {
+                    let line = self.line();
                     self.bump();
                     // `Self::Assoc` associated types.
                     let mut segments = vec!["Self".to_string()];
@@ -795,6 +888,7 @@ impl<'a> Parser<'a> {
                         Ok(Ty::Path {
                             segments,
                             args: Vec::new(),
+                            line,
                         })
                     }
                 }
@@ -811,12 +905,13 @@ impl<'a> Parser<'a> {
 
     /// `a::b::C<args>` — also accepts `Fn(A) -> B` sugar on a segment.
     fn parse_type_path(&mut self) -> PResult<Ty> {
+        let line = self.line();
         self.eat_op("::");
         let mut segments = vec![self.expect_ident()?];
         let mut args = Vec::new();
         loop {
             if self.check_punct('<') {
-                args = self.parse_generic_args()?;
+                args.extend(self.parse_generic_args()?);
                 if self.eat_op("::") {
                     segments.push(self.expect_ident()?);
                     continue;
@@ -825,17 +920,7 @@ impl<'a> Parser<'a> {
             }
             if self.check_punct('(') {
                 // `Fn(A, B) -> C` parenthesized sugar.
-                self.bump();
-                while !self.check_punct(')') {
-                    args.push(self.parse_ty()?);
-                    if !self.eat_punct(',') {
-                        break;
-                    }
-                }
-                self.expect_punct(')')?;
-                if self.eat_op("->") {
-                    self.parse_ty()?;
-                }
+                args.extend(self.parse_fn_sig_tys()?);
                 break;
             }
             if self.eat_op("::") {
@@ -847,7 +932,43 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(Ty::Path { segments, args })
+        Ok(Ty::Path {
+            segments,
+            args,
+            line,
+        })
+    }
+
+    /// `(A, name: B) -> C` after `fn` or a `Fn` trait name: the
+    /// parameter types, then the output type if written.
+    fn parse_fn_sig_tys(&mut self) -> PResult<Vec<Ty>> {
+        self.expect_punct('(')?;
+        let mut tys = Vec::new();
+        while !self.check_punct(')') {
+            if matches!(
+                self.kind(),
+                Some(TokenKind::Ident(_) | TokenKind::Punct('_'))
+            ) && matches!(self.kind_at(1), Some(TokenKind::Punct(':')))
+            {
+                self.bump(); // parameter name
+                self.bump();
+            }
+            tys.push(self.parse_ty()?);
+            if !self.eat_punct(',') {
+                break;
+            }
+        }
+        self.expect_punct(')')?;
+        if self.eat_op("->") {
+            tys.push(self.parse_ty()?);
+        }
+        Ok(tys)
+    }
+
+    /// A const generic argument: a literal, a negated literal, or a
+    /// `{ … }` block.
+    fn parse_const_arg(&mut self) -> PResult<Ty> {
+        Ok(Ty::Const(Box::new(self.parse_unary(FREE)?)))
     }
 
     /// After a `<`: comma-separated lifetimes / types / const args /
@@ -863,20 +984,14 @@ impl<'a> Parser<'a> {
             match self.kind() {
                 None => return Err(self.err("unterminated generic args")),
                 Some(TokenKind::Lifetime(_)) => self.bump(),
-                Some(TokenKind::Num(_)) => {
-                    self.bump();
-                    args.push(Ty::Infer);
-                }
-                Some(TokenKind::Punct('{')) => {
-                    self.skip_balanced(&mut Vec::new())?;
-                    args.push(Ty::Infer);
+                Some(TokenKind::Num(_) | TokenKind::Punct('{' | '-')) => {
+                    args.push(self.parse_const_arg()?);
                 }
                 Some(TokenKind::Ident(s))
                     if (s == "true" || s == "false")
                         && !matches!(self.kind_at(1), Some(TokenKind::Op("::"))) =>
                 {
-                    self.bump();
-                    args.push(Ty::Infer);
+                    args.push(self.parse_const_arg()?);
                 }
                 Some(TokenKind::Ident(_))
                     if matches!(self.kind_at(1), Some(TokenKind::Punct('='))) =>
@@ -884,7 +999,7 @@ impl<'a> Parser<'a> {
                     // `Item = Ty` associated-type binding.
                     self.bump();
                     self.bump();
-                    self.parse_ty()?;
+                    args.push(self.parse_ty()?);
                 }
                 _ => args.push(self.parse_ty()?),
             }
@@ -895,7 +1010,7 @@ impl<'a> Parser<'a> {
                 // `dyn Fn() + Send` inside args: bounds on the arg type.
                 if self.check_punct('+') {
                     self.bump();
-                    self.skip_bounds()?;
+                    args.extend(self.parse_bounds()?);
                     continue;
                 }
                 return Err(self.err("expected `,` or `>` in generic args"));
@@ -903,28 +1018,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// `Bound + 'a + OtherBound` — consumed and dropped.
-    fn skip_bounds(&mut self) -> PResult<()> {
+    /// `Bound + 'a + ?Sized + for<'b> Fn(&'b u8)` — the bounds' types.
+    fn parse_bounds(&mut self) -> PResult<Vec<Ty>> {
+        let mut out = Vec::new();
         loop {
             match self.kind() {
                 Some(TokenKind::Lifetime(_)) => self.bump(),
                 Some(TokenKind::Punct('?')) => {
                     self.bump(); // `?Sized`
-                    self.parse_type_path()?;
+                    out.push(self.parse_type_path()?);
                 }
-                Some(TokenKind::Ident(s)) if s == "fn" => {
+                Some(TokenKind::Ident(s)) if s == "for" => {
                     self.bump();
-                    self.skip_balanced(&mut Vec::new())?;
-                    if self.eat_op("->") {
-                        self.parse_ty()?;
-                    }
+                    self.parse_generic_params()?; // lifetimes only
+                    continue;
                 }
-                _ => {
-                    self.parse_type_path()?;
-                }
+                _ => out.push(self.parse_ty()?),
             }
             if !self.eat_punct('+') {
-                return Ok(());
+                return Ok(out);
             }
         }
     }
@@ -994,21 +1106,12 @@ impl<'a> Parser<'a> {
                 self.expect_punct(']')?;
                 Ok(Pat::Slice(elems))
             }
-            Some(TokenKind::Num(_) | TokenKind::Str) => {
-                self.bump();
-                self.finish_range_pat()
-            }
-            Some(TokenKind::Punct('-')) => {
-                self.bump();
-                match self.kind() {
-                    Some(TokenKind::Num(_)) => {
-                        self.bump();
-                        self.finish_range_pat()
-                    }
-                    _ => Err(self.err("expected numeric literal after `-` in pattern")),
-                }
+            Some(TokenKind::Num(_) | TokenKind::Str | TokenKind::Punct('-')) => {
+                let lo = self.parse_lit_pat()?;
+                Ok(self.finish_range_pat(lo)?)
             }
             Some(TokenKind::Ident(s)) => {
+                let line = self.line();
                 let kw_mut = s == "mut";
                 let kw_ref = s == "ref";
                 if kw_mut || kw_ref {
@@ -1022,7 +1125,7 @@ impl<'a> Parser<'a> {
                     } else {
                         None
                     };
-                    return Ok(Pat::Bind { name, sub });
+                    return Ok(Pat::Bind { name, sub, line });
                 }
                 if s == "_" {
                     self.bump();
@@ -1043,7 +1146,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect_punct(')')?;
-                    Ok(Pat::TupleStruct { path, elems })
+                    Ok(Pat::TupleStruct { path, elems, line })
                 } else if self.check_punct('{') {
                     self.bump();
                     let mut fields = Vec::new();
@@ -1053,6 +1156,7 @@ impl<'a> Parser<'a> {
                         }
                         let saw_ref = self.eat_kw("ref");
                         let saw_mut = self.eat_kw("mut");
+                        let field_line = self.line();
                         let name = self.expect_ident()?;
                         let pat = if !saw_ref && !saw_mut && self.eat_punct(':') {
                             self.parse_pat(true)?
@@ -1060,6 +1164,7 @@ impl<'a> Parser<'a> {
                             Pat::Bind {
                                 name: name.clone(),
                                 sub: None,
+                                line: field_line,
                             }
                         };
                         fields.push((name, pat));
@@ -1068,61 +1173,66 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect_punct('}')?;
-                    Ok(Pat::Struct { path, fields })
+                    Ok(Pat::Struct { path, fields, line })
                 } else if self.check_op("..=") || self.check_op("..") || self.check_op("...") {
-                    self.bump();
-                    self.consume_range_end()?;
-                    Ok(Pat::Range)
+                    self.finish_range_pat(Pat::Path { path, line })
                 } else if path.len() == 1 {
                     let name = path.into_iter().next().expect("len checked");
                     if self.eat_punct('@') {
                         let sub = Some(Box::new(self.parse_pat_single()?));
-                        Ok(Pat::Bind { name, sub })
+                        Ok(Pat::Bind { name, sub, line })
                     } else if name.chars().next().is_some_and(char::is_uppercase) {
                         // Unit variants / consts (`None`, `Greater`) —
                         // uppercase initial is the workspace convention.
-                        Ok(Pat::Path(vec![name]))
+                        Ok(Pat::Path {
+                            path: vec![name],
+                            line,
+                        })
                     } else {
-                        Ok(Pat::Bind { name, sub: None })
+                        Ok(Pat::Bind {
+                            name,
+                            sub: None,
+                            line,
+                        })
                     }
                 } else {
-                    Ok(Pat::Path(path))
+                    Ok(Pat::Path { path, line })
                 }
             }
             _ => Err(self.err("expected pattern")),
         }
     }
 
-    /// After a literal token in pattern position: `..=`/`..` makes it a
-    /// range pattern.
-    fn finish_range_pat(&mut self) -> PResult<Pat> {
-        if self.check_op("..=") || self.check_op("..") || self.check_op("...") {
-            self.bump();
-            self.consume_range_end()?;
-            Ok(Pat::Range)
-        } else {
-            Ok(Pat::Lit)
-        }
-    }
-
-    /// The closing literal/path of a range pattern.
-    fn consume_range_end(&mut self) -> PResult<()> {
+    /// A literal pattern: number, string/char, or negated number.
+    fn parse_lit_pat(&mut self) -> PResult<Pat> {
+        self.eat_punct('-');
         match self.kind() {
             Some(TokenKind::Num(_) | TokenKind::Str) => {
                 self.bump();
-                Ok(())
+                Ok(Pat::Lit)
             }
-            Some(TokenKind::Punct('-')) => {
-                self.bump();
-                self.bump();
-                Ok(())
+            _ => Err(self.err("expected literal in pattern")),
+        }
+    }
+
+    /// After a pattern's first literal or path: `..=`/`..` and an end
+    /// make it a range pattern.
+    fn finish_range_pat(&mut self, lo: Pat) -> PResult<Pat> {
+        if !(self.eat_op("..=") || self.eat_op("..") || self.eat_op("...")) {
+            return Ok(lo);
+        }
+        let hi = match self.kind() {
+            Some(TokenKind::Num(_) | TokenKind::Str | TokenKind::Punct('-')) => {
+                self.parse_lit_pat()?
             }
             Some(TokenKind::Ident(_)) => {
-                self.parse_pat_path()?;
-                Ok(())
+                let line = self.line();
+                let path = self.parse_pat_path()?;
+                Pat::Path { path, line }
             }
-            _ => Err(self.err("expected range pattern end")),
-        }
+            _ => return Err(self.err("expected range pattern end")),
+        };
+        Ok(Pat::Range(vec![lo, hi]))
     }
 
     fn parse_pat_path(&mut self) -> PResult<Vec<String>> {
@@ -1492,9 +1602,10 @@ impl<'a> Parser<'a> {
 
     fn parse_cast(&mut self, r: Restr) -> PResult<Expr> {
         let mut e = self.parse_unary(r)?;
-        while self.eat_kw("as") {
+        while self.check_kw("as") {
+            let line = self.line();
+            self.bump();
             let ty = self.parse_ty()?;
-            let line = e.line;
             e = Expr {
                 line,
                 kind: ExprKind::Cast {
@@ -1552,17 +1663,18 @@ impl<'a> Parser<'a> {
         let mut e = self.parse_primary(r)?;
         loop {
             if self.check_punct('.') {
-                let line = self.line();
                 self.bump();
+                let line = self.line();
                 match self.kind() {
                     Some(TokenKind::Ident(name)) => {
                         let name = name.clone();
                         self.bump();
-                        if self.check_op("::") {
+                        let generics = if self.eat_op("::") {
                             // `.collect::<Vec<_>>()` turbofish.
-                            self.bump();
-                            self.parse_generic_args()?;
-                        }
+                            self.parse_generic_args()?
+                        } else {
+                            Vec::new()
+                        };
                         if self.check_punct('(') {
                             let args = self.parse_call_args()?;
                             e = Expr {
@@ -1570,6 +1682,7 @@ impl<'a> Parser<'a> {
                                 kind: ExprKind::MethodCall {
                                     recv: Box::new(e),
                                     name,
+                                    generics,
                                     args,
                                 },
                             };
@@ -1725,19 +1838,19 @@ impl<'a> Parser<'a> {
             Some(TokenKind::Punct('<')) => {
                 // `<T as Trait>::method(…)` qualified call path.
                 self.bump();
-                let qual = self.parse_ty()?;
-                let mut segments = vec![qual.head().unwrap_or("?").to_string()];
+                let mut tys = vec![self.parse_ty()?];
                 if self.eat_kw("as") {
-                    let tr = self.parse_ty()?;
-                    segments = vec![tr.head().unwrap_or("?").to_string()];
+                    tys.push(self.parse_ty()?);
                 }
+                let head = tys.last().and_then(Ty::head).unwrap_or("?");
+                let mut segments = vec![head.to_string()];
                 self.bump_gt()?;
                 while self.eat_op("::") {
                     segments.push(self.expect_ident()?);
                 }
                 Ok(Expr {
                     line,
-                    kind: ExprKind::Path(segments),
+                    kind: ExprKind::Path(segments, tys),
                 })
             }
             Some(TokenKind::Op("::")) => self.parse_path_or_macro_or_struct(r, line),
@@ -1955,30 +2068,34 @@ impl<'a> Parser<'a> {
             self.expect_punct('|')?;
             while !self.check_punct('|') {
                 let pat = self.parse_pat(false)?;
-                if self.eat_punct(':') {
-                    self.parse_ty()?;
-                }
-                params.push(pat);
+                let ty = if self.eat_punct(':') {
+                    self.parse_ty()?
+                } else {
+                    Ty::Infer
+                };
+                params.push(Param { pat, ty });
                 if !self.eat_punct(',') {
                     break;
                 }
             }
             self.expect_punct('|')?;
         }
-        let body = if self.eat_op("->") {
-            self.parse_ty()?;
+        let (ret, body) = if self.eat_op("->") {
+            let ret = self.parse_ty()?;
             let b = self.parse_block()?;
-            Expr {
+            let body = Expr {
                 line,
                 kind: ExprKind::BlockExpr(b),
-            }
+            };
+            (Some(ret), body)
         } else {
-            self.parse_expr(FREE)?
+            (None, self.parse_expr(FREE)?)
         };
         Ok(Expr {
             line,
             kind: ExprKind::Closure {
                 params,
+                ret,
                 body: Box::new(body),
             },
         })
@@ -1989,12 +2106,13 @@ impl<'a> Parser<'a> {
     fn parse_path_or_macro_or_struct(&mut self, r: Restr, line: u32) -> PResult<Expr> {
         self.eat_op("::");
         let mut segments = vec![self.expect_path_seg()?];
+        let mut generics = Vec::new();
         loop {
             if self.check_op("::") {
                 if matches!(self.kind_at(1), Some(TokenKind::Punct('<'))) {
-                    // Turbofish `::<args>` — consumed, args dropped.
+                    // Turbofish `::<args>`.
                     self.bump();
-                    self.parse_generic_args()?;
+                    generics.extend(self.parse_generic_args()?);
                     continue;
                 }
                 if matches!(self.kind_at(1), Some(TokenKind::Ident(_))) {
@@ -2029,7 +2147,7 @@ impl<'a> Parser<'a> {
                 } else {
                     Expr {
                         line: self.line(),
-                        kind: ExprKind::Path(vec![name.clone()]),
+                        kind: ExprKind::Path(vec![name.clone()], Vec::new()),
                     }
                 };
                 fields.push((name, value));
@@ -2042,6 +2160,7 @@ impl<'a> Parser<'a> {
                 line,
                 kind: ExprKind::StructLit {
                     path: segments,
+                    generics,
                     fields,
                     base,
                 },
@@ -2049,7 +2168,7 @@ impl<'a> Parser<'a> {
         }
         Ok(Expr {
             line,
-            kind: ExprKind::Path(segments),
+            kind: ExprKind::Path(segments, generics),
         })
     }
 
@@ -2082,7 +2201,7 @@ impl<'a> Parser<'a> {
 
     /// After `path!`: parse the delimited arguments. `(`/`[` trees are
     /// tried as comma-separated expressions first; on failure (or for
-    /// `{` trees) fall back to a raw identifier bag.
+    /// `{` trees) every expression recovered from the tree.
     fn parse_macro_call(&mut self, path: Vec<String>, line: u32) -> PResult<Expr> {
         let (open, close) = match self.kind() {
             Some(TokenKind::Punct('(')) => ('(', ')'),
@@ -2095,25 +2214,41 @@ impl<'a> Parser<'a> {
             if let Ok(args) = self.try_macro_exprs(close) {
                 return Ok(Expr {
                     line,
-                    kind: ExprKind::MacroCall {
-                        path,
-                        args,
-                        raw_idents: Vec::new(),
-                    },
+                    kind: ExprKind::MacroCall { path, args },
                 });
             }
             self.restore(s);
         }
-        let mut raw_idents = Vec::new();
-        self.skip_balanced(&mut raw_idents)?;
+        let args = self.recover_exprs()?;
         Ok(Expr {
             line,
-            kind: ExprKind::MacroCall {
-                path,
-                args: Vec::new(),
-                raw_idents,
-            },
+            kind: ExprKind::MacroCall { path, args },
         })
+    }
+
+    /// Consumes the delimited token tree at the cursor, keeping every
+    /// expression that parses inside it: where one parses it is kept and
+    /// skipped whole, otherwise one token is skipped. Macro matchers and
+    /// transcribers (`$x:expr`, `#[test] fn f(x in 0..9)`) are not Rust,
+    /// but the calls, casts and paths inside them are, and the rules must
+    /// see those.
+    fn recover_exprs(&mut self) -> PResult<Vec<Expr>> {
+        let end = self.closing()?;
+        self.bump();
+        let mut out = Vec::new();
+        while self.pos < end {
+            let s = self.save();
+            match self.parse_expr(FREE) {
+                Ok(e) if self.pos <= end && self.pos > s.0 => out.push(e),
+                _ => {
+                    self.restore(s);
+                    self.bump();
+                }
+            }
+        }
+        self.pos = end;
+        self.bump();
+        Ok(out)
     }
 
     fn try_macro_exprs(&mut self, close: char) -> PResult<Vec<Expr>> {
@@ -2181,7 +2316,7 @@ mod tests {
         let ItemKind::Impl { items, self_ty, .. } = &f.items[0].kind else {
             panic!("not impl");
         };
-        assert_eq!(self_ty, "S");
+        assert_eq!(self_ty.head(), Some("S"));
         assert_eq!(items.len(), 4);
         for it in items {
             let ItemKind::Fn(d) = &it.kind else {

@@ -1,11 +1,7 @@
-//! The workspace rules: D1–D5 plus pragma validation.
+//! Rule identities, diagnostics, and the pragma machinery shared by
+//! every rule (the rules themselves live in [`crate::dataflow`]).
 //!
-//! Each rule is a pattern over the lexed token stream of one file. The
-//! rules are deliberately conservative approximations — no type inference,
-//! no macro expansion — tuned so that on *this* workspace they have no
-//! false positives, and written so that a false negative requires actively
-//! hiding the construct (which code review would catch). Escapes go
-//! through an inline pragma that must carry a justification:
+//! Escapes go through an inline pragma that must carry a justification:
 //!
 //! ```text
 //! // lint: allow(D3, "f64 mantissa covers every reachable cycle count")
@@ -14,7 +10,7 @@
 //! The pragma suppresses the named rule on its own line and the line
 //! directly below it.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
+use crate::lexer::Comment;
 
 /// Identifier of one lint rule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,221 +118,6 @@ pub struct Diagnostic {
     pub msg: String,
 }
 
-/// Which crate (by directory key: `cache`, `core`, …) a file belongs to,
-/// gating rule applicability.
-#[derive(Clone, Copy, Debug)]
-pub struct FileScope<'a> {
-    /// Directory name under `crates/` (the root package is `mlpsim`).
-    pub crate_key: &'a str,
-    /// Workspace-relative path — D11 uses it to exempt the serve crate's
-    /// log helper, client library, and `bin/` CLIs from the
-    /// structured-logging requirement.
-    pub rel_path: &'a str,
-}
-
-/// Crates whose state feeds victim selection or sweep output (D1).
-const D1_CRATES: &[&str] = &["cache", "core", "mem", "exec"];
-/// Crates that constitute simulation logic (D2). `telemetry` is included
-/// so wall-clock reads in core crates go only through the audited
-/// `telemetry::prof` clock shim, whose own `Instant` uses carry allow
-/// pragmas. `model` is included because the analytical estimators must be
-/// as deterministic as the simulator they stand in for — a planner that
-/// prunes different cells on different hosts is a reproducibility bug.
-const D2_CRATES: &[&str] = &[
-    "cache",
-    "core",
-    "mem",
-    "cpu",
-    "exec",
-    "trace",
-    "telemetry",
-    "model",
-];
-/// Crates holding the paper's cost/quantization model (D3).
-const D3_CRATES: &[&str] = &["core"];
-
-/// Map/set iteration methods whose order is nondeterministic.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
-/// Primitive numeric targets of `as` casts, plus the workspace's own
-/// numeric alias for the 3-bit quantized cost.
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64", "CostQ",
-];
-
-/// Wall-clock / ambient-randomness identifiers banned by D2.
-const D2_IDENTS: &[&str] = &["SystemTime", "Instant", "thread_rng"];
-
-/// Runs every applicable rule on one file and returns its diagnostics,
-/// pragma-suppressed and sorted by line.
-pub fn check_file(scope: FileScope<'_>, src: &str) -> Vec<Diagnostic> {
-    let lexed = lex(src);
-    let in_test = test_mask(&lexed.tokens);
-    let (allows, mut diags) = parse_pragmas(&lexed.comments);
-
-    if D1_CRATES.contains(&scope.crate_key) {
-        rule_d1(&lexed.tokens, &in_test, &mut diags);
-    }
-    if D2_CRATES.contains(&scope.crate_key) {
-        rule_d2(&lexed.tokens, &in_test, &mut diags);
-    }
-    if D3_CRATES.contains(&scope.crate_key) {
-        rule_d3(&lexed.tokens, &in_test, &mut diags);
-    }
-    rule_d4(&lexed.tokens, &in_test, &mut diags);
-    let under_enabled = enabled_mask(&lexed.tokens);
-    rule_d5(&lexed.tokens, &in_test, &under_enabled, &mut diags);
-    rule_d6(&lexed.tokens, &in_test, &mut diags);
-    if scope.crate_key == "serve" && !d11_exempt(scope.rel_path) {
-        rule_d11(&lexed.tokens, &in_test, &mut diags);
-    }
-
-    // Apply pragma suppression: an allow on line L covers L and L+1.
-    diags.retain(|d| {
-        !allows
-            .iter()
-            .any(|(line, rule)| *rule == d.rule && (d.line == *line || d.line == *line + 1))
-    });
-    diags.sort_by_key(|d| d.line);
-    diags.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
-    diags
-}
-
-/// For each token, whether it sits inside a `#[cfg(test)]`-gated block.
-/// Detection: the exact attribute token sequence, then the next `{` opens
-/// the region (a `;` first — e.g. a gated `use` — cancels it, gating only
-/// that statement, which the mask approximates as not-test; no such forms
-/// exist in this workspace).
-fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut depth: i32 = 0;
-    let mut pending = false;
-    // Depth at which each active test region opened.
-    let mut regions: Vec<i32> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if is_cfg_test_at(tokens, i) {
-            pending = true;
-        }
-        match t.kind {
-            TokenKind::Punct('{') => {
-                depth += 1;
-                if pending {
-                    regions.push(depth);
-                    pending = false;
-                }
-            }
-            TokenKind::Punct('}') => {
-                if regions.last().is_some_and(|d| *d == depth) {
-                    regions.pop();
-                }
-                depth -= 1;
-            }
-            TokenKind::Punct(';') if pending && !attr_open(tokens, i) => {
-                pending = false;
-            }
-            _ => {}
-        }
-        mask[i] = !regions.is_empty();
-    }
-    mask
-}
-
-/// Does the token at `i` start the sequence `# [ cfg ( test ) ]`?
-fn is_cfg_test_at(tokens: &[Token], i: usize) -> bool {
-    let expect: [&dyn Fn(&TokenKind) -> bool; 7] = [
-        &|k| *k == TokenKind::Punct('#'),
-        &|k| *k == TokenKind::Punct('['),
-        &|k| matches!(k, TokenKind::Ident(s) if s == "cfg"),
-        &|k| *k == TokenKind::Punct('('),
-        &|k| matches!(k, TokenKind::Ident(s) if s == "test"),
-        &|k| *k == TokenKind::Punct(')'),
-        &|k| *k == TokenKind::Punct(']'),
-    ];
-    tokens.len() >= i + expect.len()
-        && expect
-            .iter()
-            .zip(&tokens[i..])
-            .all(|(want, tok)| want(&tok.kind))
-}
-
-/// For each token, whether it sits inside a block opened by an `if`
-/// whose condition names `ENABLED` (the `P::ENABLED` telemetry gate).
-/// Same brace-region machinery as [`test_mask`]: the `if` header is
-/// scanned up to its `{` (a `;` cancels — no such header exists here);
-/// compound conditions (`P::ENABLED && new_samples > 0`) count, because
-/// the gate still short-circuits the emission.
-fn enabled_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut depth: i32 = 0;
-    let mut pending = false;
-    let mut regions: Vec<i32> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if ident(t) == Some("if") {
-            for tok in &tokens[i + 1..tokens.len().min(i + 30)] {
-                match &tok.kind {
-                    TokenKind::Punct('{' | ';') => break,
-                    TokenKind::Ident(s) if s == "ENABLED" => {
-                        pending = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        match t.kind {
-            TokenKind::Punct('{') => {
-                depth += 1;
-                if pending {
-                    regions.push(depth);
-                    pending = false;
-                }
-            }
-            TokenKind::Punct('}') => {
-                if regions.last().is_some_and(|d| *d == depth) {
-                    regions.pop();
-                }
-                depth -= 1;
-            }
-            TokenKind::Punct(';') => pending = false,
-            _ => {}
-        }
-        mask[i] = !regions.is_empty();
-    }
-    mask
-}
-
-/// Whether token `i` is still inside an attribute's `[...]` (so a `;`
-/// there must not cancel a pending test region). Cheap scan backwards for
-/// an unclosed `[`.
-fn attr_open(tokens: &[Token], i: usize) -> bool {
-    let mut depth = 0i32;
-    for t in tokens[..i].iter().rev().take(64) {
-        match t.kind {
-            TokenKind::Punct(']') => depth += 1,
-            TokenKind::Punct('[') => {
-                if depth == 0 {
-                    return true;
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
 /// Parses allow-pragmas (format in the module docs) out of comments.
 /// Returns the allow list and diagnostics for malformed pragmas.
 ///
@@ -404,318 +185,6 @@ pub(crate) fn parse_pragmas(comments: &[Comment]) -> (Vec<(u32, RuleId)>, Vec<Di
     (allows, diags)
 }
 
-fn ident(t: &Token) -> Option<&str> {
-    match &t.kind {
-        TokenKind::Ident(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn is_punct(t: &Token, c: char) -> bool {
-    t.kind == TokenKind::Punct(c)
-}
-
-/// D1 — collect names bound to `HashMap`/`HashSet` (field and `let`
-/// declarations), then flag order-sensitive iteration over them: the
-/// unordered-iteration methods and `for … in` headers naming them.
-fn rule_d1(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    let mut names: Vec<String> = Vec::new();
-
-    // `name: … HashMap<…>` (struct fields, typed lets, fn params).
-    for i in 0..tokens.len() {
-        let Some(name) = ident(&tokens[i]) else {
-            continue;
-        };
-        if name == "let" {
-            // `let [mut] name … = HashMap::new()` — scan the statement.
-            let mut j = i + 1;
-            if j < tokens.len() && ident(&tokens[j]) == Some("mut") {
-                j += 1;
-            }
-            let Some(bound) = ident(&tokens[j.min(tokens.len() - 1)]) else {
-                continue;
-            };
-            let mut k = j + 1;
-            let mut hit = false;
-            while k < tokens.len() && k < j + 60 && !is_punct(&tokens[k], ';') {
-                if matches!(ident(&tokens[k]), Some("HashMap" | "HashSet")) {
-                    hit = true;
-                    break;
-                }
-                k += 1;
-            }
-            if hit {
-                names.push(bound.to_string());
-            }
-            continue;
-        }
-        // `name :` but not `name ::` and not `:: name :`.
-        if i + 2 < tokens.len()
-            && is_punct(&tokens[i + 1], ':')
-            && !is_punct(&tokens[i + 2], ':')
-            && (i == 0 || !is_punct(&tokens[i - 1], ':'))
-        {
-            let mut angle = 0i32;
-            for tok in &tokens[i + 2..tokens.len().min(i + 40)] {
-                match &tok.kind {
-                    TokenKind::Ident(s) if s == "HashMap" || s == "HashSet" => {
-                        names.push(name.to_string());
-                        break;
-                    }
-                    TokenKind::Punct('<') => angle += 1,
-                    TokenKind::Punct('>') => angle -= 1,
-                    TokenKind::Punct(',') if angle <= 0 => break,
-                    TokenKind::Punct(';' | '=' | ')' | '{' | '}') => break,
-                    _ => {}
-                }
-            }
-        }
-    }
-    if names.is_empty() {
-        return;
-    }
-
-    for i in 0..tokens.len() {
-        if in_test[i] {
-            continue;
-        }
-        let Some(name) = ident(&tokens[i]) else {
-            continue;
-        };
-        // `name.iter()` and friends.
-        if names.iter().any(|n| n == name) && i + 2 < tokens.len() && is_punct(&tokens[i + 1], '.')
-        {
-            if let Some(m) = ident(&tokens[i + 2]) {
-                if ITER_METHODS.contains(&m) {
-                    diags.push(Diagnostic {
-                        line: tokens[i + 2].line,
-                        rule: RuleId::D1,
-                        msg: format!(
-                            "iteration over unordered map/set `{name}.{m}()` — order is \
-                             nondeterministic; use a Vec/BTreeMap or sort before iterating"
-                        ),
-                    });
-                }
-            }
-        }
-        // `for … in <header naming a map> {`. The `in` must actually be
-        // found before a `{`/`;`: `impl Trait for Type` also contains a
-        // `for` token, and without this check the scan window can drift
-        // into unrelated statements and flag a declaration.
-        if name == "for" {
-            let mut j = i + 1;
-            let mut found_in = false;
-            while j < tokens.len().min(i + 30) {
-                if ident(&tokens[j]) == Some("in") {
-                    found_in = true;
-                    break;
-                }
-                if is_punct(&tokens[j], '{') || is_punct(&tokens[j], ';') {
-                    break;
-                }
-                j += 1;
-            }
-            if !found_in {
-                continue;
-            }
-            for tok in &tokens[j..tokens.len().min(j + 30)] {
-                if is_punct(tok, '{') {
-                    break;
-                }
-                if let Some(h) = ident(tok) {
-                    if names.iter().any(|n| n == h) {
-                        diags.push(Diagnostic {
-                            line: tok.line,
-                            rule: RuleId::D1,
-                            msg: format!(
-                                "`for` loop over unordered map/set `{h}` — order is \
-                                 nondeterministic; collect and sort first"
-                            ),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// D2 — any appearance of a wall-clock or ambient-randomness identifier
-/// (importing one into simulation logic is already a bug).
-fn rule_d2(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        if let Some(s) = ident(t) {
-            if D2_IDENTS.contains(&s) {
-                diags.push(Diagnostic {
-                    line: t.line,
-                    rule: RuleId::D2,
-                    msg: format!(
-                        "`{s}` in simulation logic — wall-clock time and ambient randomness \
-                         break replay determinism; thread cycle counts / seeded RNGs instead"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// D3 — `as <numeric-type>` outside tests.
-fn rule_d3(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    for i in 0..tokens.len().saturating_sub(1) {
-        if in_test[i] {
-            continue;
-        }
-        if ident(&tokens[i]) == Some("as") {
-            if let Some(ty) = ident(&tokens[i + 1]) {
-                if NUMERIC_TYPES.contains(&ty) {
-                    diags.push(Diagnostic {
-                        line: tokens[i].line,
-                        rule: RuleId::D3,
-                        msg: format!(
-                            "bare `as {ty}` cast in cost/quantization code — use `From`/\
-                             `TryFrom` or a documented helper from `mlpsim_core::convert`"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// D4 — `.unwrap()` calls and `panic!` invocations outside tests.
-fn rule_d4(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    for i in 0..tokens.len() {
-        if in_test[i] {
-            continue;
-        }
-        match ident(&tokens[i]) {
-            Some("unwrap")
-                if i > 0
-                    && is_punct(&tokens[i - 1], '.')
-                    && i + 2 < tokens.len()
-                    && is_punct(&tokens[i + 1], '(')
-                    && is_punct(&tokens[i + 2], ')') =>
-            {
-                diags.push(Diagnostic {
-                    line: tokens[i].line,
-                    rule: RuleId::D4,
-                    msg: "`.unwrap()` outside tests — return an error, or use `expect(..)` \
-                          with a proof the failure is impossible"
-                        .to_string(),
-                });
-            }
-            Some("panic") if i + 1 < tokens.len() && is_punct(&tokens[i + 1], '!') => {
-                diags.push(Diagnostic {
-                    line: tokens[i].line,
-                    rule: RuleId::D4,
-                    msg: "`panic!` outside tests — return an error instead (asserts with \
-                          documented invariants use `assert!`/`debug_assert!`)"
-                        .to_string(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// D5 — `probe.emit(..)` outside an `if …ENABLED…` region and outside
-/// tests. The pattern is the token sequence `probe . emit (`, which also
-/// matches `self.probe.emit(..)`; runtime-gated `sink.emit` handles are a
-/// different mechanism and exempt.
-fn rule_d5(
-    tokens: &[Token],
-    in_test: &[bool],
-    under_enabled: &[bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    for i in 2..tokens.len().saturating_sub(1) {
-        if in_test[i] || under_enabled[i] {
-            continue;
-        }
-        if ident(&tokens[i]) == Some("emit")
-            && is_punct(&tokens[i - 1], '.')
-            && ident(&tokens[i - 2]) == Some("probe")
-            && is_punct(&tokens[i + 1], '(')
-        {
-            diags.push(Diagnostic {
-                line: tokens[i].line,
-                rule: RuleId::D5,
-                msg: "`probe.emit(..)` outside an `if P::ENABLED` guard — the event payload \
-                      is built even in NoProbe builds; wrap the emission in the const gate"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// D6 — socket accepts without a read timeout anywhere in the file. The
-/// pattern `.accept(` / `.incoming(` marks the accept path; the file must
-/// then also name `set_read_timeout` (or the workspace wrapper
-/// `arm_read_timeout`) outside tests. File granularity is the right
-/// approximation here: the timeout call sits on the accepted stream a few
-/// lines from the accept, or in a helper the same file defines/calls.
-fn rule_d6(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    let has_timeout = tokens.iter().enumerate().any(|(i, t)| {
-        !in_test[i] && matches!(ident(t), Some("set_read_timeout" | "arm_read_timeout"))
-    });
-    if has_timeout {
-        return;
-    }
-    for i in 1..tokens.len().saturating_sub(1) {
-        if in_test[i] {
-            continue;
-        }
-        let Some(m) = ident(&tokens[i]) else {
-            continue;
-        };
-        if (m == "accept" || m == "incoming")
-            && is_punct(&tokens[i - 1], '.')
-            && is_punct(&tokens[i + 1], '(')
-        {
-            diags.push(Diagnostic {
-                line: tokens[i].line,
-                rule: RuleId::D6,
-                msg: format!(
-                    "`.{m}(..)` with no read timeout in this file — a blocking read on an \
-                     accepted socket can hang on a stalled client; call `set_read_timeout` \
-                     (or `http::arm_read_timeout`) on every accepted stream"
-                ),
-            });
-        }
-    }
-}
-
-/// Files inside `crates/serve` that D11 does not cover: the log helper
-/// is the sanctioned `eprintln!` site, the `bin/` CLIs and the client
-/// library write user-facing output, not server request-path logs.
-fn d11_exempt(rel_path: &str) -> bool {
-    rel_path.contains("/bin/") || rel_path.ends_with("/client.rs") || rel_path.ends_with("/log.rs")
-}
-
-/// D11 — bare `eprintln!` in serve request-path code outside tests:
-/// stderr lines from the server must be the structured JSON documents
-/// `serve::log` emits, so they parse and carry the request's trace id.
-fn rule_d11(tokens: &[Token], in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    for i in 0..tokens.len().saturating_sub(1) {
-        if in_test[i] {
-            continue;
-        }
-        if ident(&tokens[i]) == Some("eprintln") && is_punct(&tokens[i + 1], '!') {
-            diags.push(Diagnostic {
-                line: tokens[i].line,
-                rule: RuleId::D11,
-                msg: "bare `eprintln!` in the serve request path — emit through \
-                      `log::access` / `log::server_event` so the line is structured \
-                      JSON carrying the trace id"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,14 +193,22 @@ mod tests {
         check_path(crate_key, &format!("crates/{crate_key}/src/lib.rs"), src)
     }
 
+    /// Lints one planted file and returns its per-file-rule and pragma
+    /// diagnostics (the workspace rules D7–D10 have their own corpus in
+    /// `dataflow.rs`).
+    #[track_caller]
     fn check_path(crate_key: &str, rel_path: &str, src: &str) -> Vec<Diagnostic> {
-        check_file(
-            FileScope {
-                crate_key,
-                rel_path,
-            },
-            src,
-        )
+        let r = crate::lint_files(&[crate::InputFile {
+            rel_path: rel_path.to_string(),
+            crate_key: crate_key.to_string(),
+            src: src.to_string(),
+        }]);
+        assert!(r.parse_errors.is_empty(), "{:?}", r.parse_errors);
+        r.findings
+            .into_iter()
+            .map(|f| f.diag)
+            .filter(|d| !matches!(d.rule, RuleId::D7 | RuleId::D8 | RuleId::D9 | RuleId::D10))
+            .collect()
     }
 
     fn rules(diags: &[Diagnostic]) -> Vec<RuleId> {
@@ -871,6 +348,111 @@ mod tests {
     }
 
     #[test]
+    fn d2_reads_use_paths_and_generic_args() {
+        // The clock shim's shapes, pragmas removed: the import, a type
+        // argument, and a path passed as a value.
+        let src = "
+            use std::sync::OnceLock;
+            use std::time::Instant;
+            static EPOCH: OnceLock<Instant> = OnceLock::new();
+            fn now_ns() -> u64 {
+                EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+            }
+        ";
+        let d = check("telemetry", src);
+        assert_eq!(rules(&d), vec![RuleId::D2; 3], "{d:?}");
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4, 6]);
+    }
+
+    #[test]
+    fn findings_sit_on_the_method_name_and_the_as_keyword() {
+        let src = "
+            struct S { pending: HashMap<u64, u32> }
+            fn f(s: &S, x: u64) -> f64 {
+                let n = s.pending
+                    .keys()
+                    .count();
+                x
+                    as f64
+            }
+        ";
+        let d = check("core", src);
+        assert_eq!(rules(&d), vec![RuleId::D1, RuleId::D3], "{d:?}");
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![5, 8]);
+    }
+
+    #[test]
+    fn macro_bodies_are_checked() {
+        // Token trees that are not an expression list still have their
+        // calls and macros seen: a `vec![x; n]` repeat, an item macro.
+        let src = "
+            fn f(x: Option<u8>) -> Vec<u8> { vec![x.unwrap(); 4] }
+            proptest! {
+                #[test]
+                fn p(n in 0..9u8) { if n > 9 { panic!(\"no\"); } }
+            }
+        ";
+        let d = check("cpu", src);
+        assert_eq!(rules(&d), vec![RuleId::D4; 2], "{d:?}");
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![2, 5]);
+    }
+
+    #[test]
+    fn d2_reads_every_type_the_source_names() {
+        // One wall-clock type per line, each where the tree holds it only
+        // as a type or a pattern: alias target, impl headers, bound,
+        // where clause, generic default, supertrait, associated-type
+        // bound, `dyn`/`impl`/`fn` types, `Fn` sugar output, binding,
+        // qualified paths, turbofish, closure parameter and return type,
+        // pattern path, higher-ranked bound.
+        let src = "
+            type Clock = std::time::Instant;
+            impl From<Instant> for S {}
+            impl Tr for Wrapper<SystemTime> {}
+            fn g<T: Into<Instant>>(t: T) {}
+            fn h<T>(t: T) where T: Into<SystemTime> {}
+            struct B<T = Instant>(T);
+            trait Tr2: Into<Instant> {}
+            trait Tr3 { type Out: Into<Instant>; }
+            fn d(x: &dyn Fn(Instant)) {}
+            fn i() -> impl Into<Instant> { 0 }
+            fn fp(f: fn(Instant) -> u8) {}
+            fn fs(f: Box<dyn Fn() -> Instant>) {}
+            fn a(i: impl Iterator<Item = Instant>) {}
+            fn q(x: <Instant as Tr>::Out) {}
+            fn qe() { let _ = <Instant as Default>::default(); }
+            fn tf() { let v = Vec::<Instant>::new(); }
+            fn tm(v: Vec<u8>) { let _ = v.into_iter().collect::<Vec<Instant>>(); }
+            fn sl() { let s = S::<Instant> { a: 1 }; }
+            fn cl() { let f = |t: Instant| t; }
+            fn cr() { let f = || -> Instant { x() }; }
+            fn m(t: u8) { match t { SystemTime::UNIX_EPOCH => {} _ => {} } }
+            fn hr<F>(f: F) where F: for<'a> Fn(&'a Instant) {}
+        ";
+        let d = check("core", src);
+        assert!(d.iter().all(|d| d.rule == RuleId::D2), "{d:?}");
+        let lines: Vec<u32> = d.iter().map(|d| d.line).collect();
+        assert_eq!(lines, (2..=23).collect::<Vec<u32>>(), "{d:?}");
+    }
+
+    #[test]
+    fn d3_reads_casts_in_array_lengths_const_args_and_discriminants() {
+        let src = "
+            struct A { a: [u64; N as usize] }
+            fn l() { let x: [u8; K as usize] = [0; 4]; }
+            fn c() -> Foo<{ N as usize }> {}
+            struct C<const N: usize = { M as usize }>;
+            enum E { A = X as isize }
+        ";
+        let d = check("core", src);
+        assert_eq!(rules(&d), vec![RuleId::D3; 5], "{d:?}");
+        assert_eq!(
+            d.iter().map(|d| d.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5, 6]
+        );
+    }
+
+    #[test]
     fn d3_catches_bare_numeric_casts_in_core_only() {
         let src = "fn f(x: u64) -> f64 { x as f64 }";
         assert!(rules(&check("core", src)).contains(&RuleId::D3));
@@ -932,6 +514,21 @@ mod tests {
         let d = check("cpu", src);
         assert_eq!(rules(&d), vec![RuleId::D5], "{d:?}");
         assert_eq!(d[0].line, 4);
+    }
+
+    #[test]
+    fn d5_rejects_negated_and_disjunctive_guards() {
+        // Neither condition implies the gate is on inside the block.
+        let src = "
+            fn f(&mut self, forced: bool) {
+                if !P::ENABLED { self.probe.emit(a()); }
+                if P::ENABLED || forced { self.probe.emit(b()); }
+                if (P::ENABLED && forced) || forced { self.probe.emit(c()); }
+            }
+        ";
+        let d = check("cpu", src);
+        assert_eq!(rules(&d), vec![RuleId::D5; 3], "{d:?}");
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4, 5]);
     }
 
     #[test]

@@ -41,8 +41,9 @@ const RULES: &[(RuleId, &str)] = &[
     ),
     (
         RuleId::D5,
-        "Every probe.emit(..) must sit under an `if` naming the ENABLED gate, or the \
-         payload is built even in NoProbe builds.",
+        "Every probe.emit(..) must sit in the then-block of an `if` whose condition \
+         implies the ENABLED gate (the gate or an && conjunct; not a negation, not one \
+         side of ||), or the payload is built even in NoProbe builds.",
     ),
     (
         RuleId::D6,

@@ -1,9 +1,11 @@
 //! Workspace symbol table: every parsed file's items flattened into
 //! indexed functions, struct layouts, and impl groupings, with the
-//! test-gating and crate provenance the dataflow rules key on.
+//! test-gating and crate provenance the rules key on.
 
 use crate::ast::{Attr, FnDef, Item, ItemKind, SourceFile, Ty};
-use crate::parser::parse_file;
+use crate::lexer::lex;
+use crate::parser::parse_lexed;
+use crate::rules::{parse_pragmas, Diagnostic, RuleId};
 use crate::InputFile;
 
 /// Index of a function in [`Workspace::fns`].
@@ -18,8 +20,8 @@ pub struct FnInfo {
     pub name: String,
     /// `Some(type)` for inherent/trait-impl methods, `None` for free fns.
     pub self_ty: Option<String>,
-    /// Whether the fn (or an enclosing module/impl) is `#[cfg(test)]`/
-    /// `#[test]`-gated. Test code is out of scope for every dataflow rule.
+    /// Whether the fn (or an enclosing module/impl) is test-gated (see
+    /// [`Attr::is_test_gate`]). Test code is out of scope for every rule.
     pub in_test: bool,
     pub def: FnDef,
 }
@@ -43,12 +45,16 @@ pub struct StructInfo {
     pub fields: Vec<(String, Ty)>,
 }
 
-/// One file that parsed, with its AST retained.
+/// One file that parsed, with its AST and pragmas retained.
 #[derive(Clone, Debug)]
 pub struct ParsedFile {
     pub rel_path: String,
     pub crate_key: String,
     pub ast: SourceFile,
+    /// `lint: allow`/`lint: bounded` pragmas: `(line, rule)`.
+    pub allows: Vec<(u32, RuleId)>,
+    /// Malformed pragmas, reported as [`RuleId::Pragma`] findings.
+    pub bad_pragmas: Vec<Diagnostic>,
 }
 
 /// The workspace-wide symbol table.
@@ -66,19 +72,24 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Parses every input file and indexes its items. Parse failures are
-    /// returned as `(rel_path, message)` and the file is skipped.
+    /// Lexes (once) and parses every input file and indexes its items.
+    /// Parse failures are returned as `(rel_path, message)` and the file
+    /// is skipped.
     pub fn build(files: &[InputFile]) -> (Workspace, Vec<(String, String)>) {
         let mut ws = Workspace::default();
         let mut errors = Vec::new();
         for f in files {
-            match parse_file(&f.src) {
+            let lexed = lex(&f.src);
+            match parse_lexed(&lexed) {
                 Ok(ast) => {
                     ws.index_items(&ast.items, &f.crate_key, &f.rel_path, None, false);
+                    let (allows, bad_pragmas) = parse_pragmas(&lexed.comments);
                     ws.files.push(ParsedFile {
                         rel_path: f.rel_path.clone(),
                         crate_key: f.crate_key.clone(),
                         ast,
+                        allows,
+                        bad_pragmas,
                     });
                 }
                 Err(e) => errors.push((f.rel_path.clone(), e.to_string())),
@@ -155,7 +166,8 @@ impl Workspace {
                 ItemKind::Impl {
                     self_ty: ty, items, ..
                 } => {
-                    self.index_items(items, crate_key, rel_path, Some(ty), gated);
+                    let head = ty.head().unwrap_or("?");
+                    self.index_items(items, crate_key, rel_path, Some(head), gated);
                 }
                 ItemKind::Trait { items, .. } => {
                     // Default trait methods: indexed without a self type —
@@ -208,6 +220,33 @@ mod tests {
         let t = &ws.fns[ws.fns_named("t")[0]];
         assert!(t.in_test);
         assert_eq!(ws.field_ty("S", "cycles").and_then(Ty::head), Some("u64"));
+    }
+
+    #[test]
+    fn only_test_only_cfgs_gate_test_scope() {
+        // `not(test)` and `any(test, …)` items are compiled into
+        // production builds, also when nested in `all(..)`: every rule
+        // must still see them. `test` as an argument of `all` gates.
+        let files = [input(
+            "core",
+            "#[cfg(not(test))] fn prod() {}\n\
+             #[cfg(any(test, feature = \"x\"))] fn both() {}\n\
+             #[cfg(all(not(test), unix))] fn unix_prod() {}\n\
+             #[cfg(all(test, unix))] fn unix_test() {}\n\
+             #[cfg(all(any(test, fuzzing), unix))] fn fuzz_unix() {}\n\
+             #[cfg(all(test, not(feature = \"invariants\")))] fn plain_test() {}\n\
+             #[test] fn t() {}",
+        )];
+        let (ws, errs) = Workspace::build(&files);
+        assert!(errs.is_empty(), "{errs:?}");
+        let gated = |name: &str| ws.fns[ws.fns_named(name)[0]].in_test;
+        assert!(!gated("prod"));
+        assert!(!gated("both"));
+        assert!(!gated("unix_prod"));
+        assert!(gated("unix_test"));
+        assert!(!gated("fuzz_unix"));
+        assert!(gated("plain_test"));
+        assert!(gated("t"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The parser's ground-truth test: every `.rs` file in this workspace's
 //! lint scope must parse without error. A construct drifting outside the
-//! supported subset fails here loudly, instead of silently blinding the
-//! dataflow rules (which skip files they cannot parse).
+//! supported subset fails here loudly, instead of silently blinding
+//! every rule (all of them skip files they cannot parse).
 
 use mlpsim_lint::{collect_workspace_rs_files, parser::parse_file};
 use std::path::{Path, PathBuf};

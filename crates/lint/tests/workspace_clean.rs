@@ -1,4 +1,4 @@
-//! The workspace must stay free of D1–D10 findings: CI gates on the
+//! The workspace must stay free of D1–D11 findings: CI gates on the
 //! binary's exit code, and this test puts the same gate in `cargo
 //! test` so a violation fails fast with the offending lines inline.
 

@@ -343,8 +343,9 @@ fn route(
             .map(|()| 200)
         }
         ("POST", ["jobs"]) => {
-            // Admission covers spec parse + journaled submit; the
-            // journal_append span nests under it.
+            // Admission covers spec parse + journaled submit up to the
+            // enqueue, where `submit` closes it; the journal_append span
+            // nests under it.
             let admission = ctx.child("admission");
             let body = String::from_utf8_lossy(&req.body);
             let spec = match JobSpec::parse(&body) {
@@ -354,9 +355,7 @@ fn route(
                     return respond_json(stream, 400, &err_json(&e));
                 }
             };
-            let submitted = state.submit(spec, Some(&admission.ctx()));
-            drop(admission);
-            match submitted {
+            match state.submit(spec, Some(admission)) {
                 Ok(id) => {
                     let doc = Json::Obj(vec![
                         ("id".into(), Json::Num(id as f64)),

@@ -11,7 +11,7 @@ use crate::metrics::{self, Histograms};
 use mlpsim_exec::CancelToken;
 use mlpsim_experiments::jobspec::JobSpec;
 use mlpsim_telemetry::prof;
-use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, TraceCtx};
+use mlpsim_telemetry::trace::{CompletedTrace, FlightRecorder, SpanGuard, TraceCtx};
 use mlpsim_telemetry::{Event, EventSink, Json, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -124,8 +124,9 @@ pub struct Job {
     pub cancel: CancelToken,
     /// When the job entered the queue (recovery counts as re-admission).
     pub submitted_at: Instant,
-    /// [`prof::now_ns`] reading at admission — the `queue_wait` span's
-    /// start on the job's trace.
+    /// [`prof::now_ns`] reading at enqueue, taken after the admission span
+    /// closed — the `queue_wait` span's start on the job's trace, so the
+    /// two root children never overlap.
     pub submitted_ns: u64,
     /// When the scheduler took it, once running.
     pub started_at: Option<Instant>,
@@ -242,17 +243,19 @@ impl State {
         result_path(&self.data_dir, id)
     }
 
-    /// Admit a job: journal the submit write-ahead, then enqueue. With a
-    /// `trace` (the admitting request's context, parented wherever the
-    /// caller wants the `journal_append` span), the job *adopts* the
-    /// trace: the request handler must not finish it — the trace runs
-    /// until the job reaches a terminal state, so its root span covers
-    /// accept → terminal and the `queue_wait`/`run` phases land inside.
+    /// Admit a job: journal the submit write-ahead, then enqueue. With
+    /// `admission` (the admitting request's open span; the
+    /// `journal_append` span nests under it), the job *adopts* its trace:
+    /// the request handler must not finish it — the trace runs until the
+    /// job reaches a terminal state, so its root span covers accept →
+    /// terminal and the `queue_wait`/`run` phases land inside. The
+    /// admission span closes here, just before the job's `queue_wait`
+    /// clock starts, so the root's direct children stay disjoint.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when draining, at capacity, or unjournalable.
-    pub fn submit(&self, spec: JobSpec, trace: Option<&TraceCtx>) -> Result<u64, SubmitError> {
+    pub fn submit(&self, spec: JobSpec, admission: Option<SpanGuard>) -> Result<u64, SubmitError> {
         let mut inner = lock(&self.inner);
         if inner.draining {
             self.count("jobs_rejected_total");
@@ -263,13 +266,14 @@ impl State {
             return Err(SubmitError::Full);
         }
         let id = inner.next_id;
+        let trace = admission.as_ref().map(SpanGuard::ctx);
         lock(&self.journal)
             .append_traced(
                 &JournalOp::Submit {
                     id,
                     spec: spec.to_json(),
                 },
-                trace,
+                trace.as_ref(),
             )
             .map_err(|e| SubmitError::Journal(e.to_string()))?;
         inner.next_id += 1;
@@ -280,6 +284,7 @@ impl State {
             ctx.adopt();
             ctx.at_root()
         });
+        drop(admission); // records the span, ending it before `submitted_ns`
         inner.jobs.insert(
             id,
             Job {
@@ -303,7 +308,8 @@ impl State {
     /// Scheduler side: block for the next queued job, journal its start,
     /// mark it running, and hand back what the executor needs — including
     /// the job's adopted trace, on which the measured `queue_wait` span is
-    /// recorded here (submit-time to now, root-parented). Returns `None`
+    /// recorded here (enqueue to take, root-parented, disjoint from the
+    /// admission span before it and the Start journal append after it). Returns `None`
     /// once the server is draining (queued jobs stay journaled for the
     /// next boot).
     #[allow(clippy::type_complexity)]
@@ -316,6 +322,9 @@ impl State {
                 return None;
             }
             if let Some(id) = inner.queue.pop_front() {
+                // The wait ends as the job is taken: the Start append below
+                // is a root child of its own, not part of the wait.
+                let taken_ns = prof::now_ns();
                 let Some(job) = inner.jobs.get_mut(&id) else {
                     continue; // cancelled-while-queued already removed it
                 };
@@ -339,7 +348,7 @@ impl State {
                         "queue_wait",
                         ctx.parent,
                         job.submitted_ns,
-                        prof::now_ns(),
+                        taken_ns,
                         Vec::new(),
                     );
                 }
