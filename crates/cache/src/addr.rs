@@ -70,7 +70,18 @@ pub enum GeometryError {
     ZeroParameter,
     /// Capacity is not divisible by `ways * line_bytes`.
     NotDivisible,
+    /// Associativity exceeds [`MAX_WAYS`], the most ways an 8-bit
+    /// LRU-stack position can order.
+    TooManyWays,
 }
+
+/// The largest supported associativity: the tag store keeps each way's
+/// LRU-stack position `R(i)` in a `u8`, so a set orders at most 256 ways.
+pub const MAX_WAYS: u16 = 256;
+
+/// Message for [`GeometryError::TooManyWays`], shared with the panic in
+/// [`Geometry::from_sets`].
+const TOO_MANY_WAYS: &str = "associativity exceeds 256 ways, the limit of 8-bit recency ranks";
 
 impl fmt::Display for GeometryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -79,6 +90,7 @@ impl fmt::Display for GeometryError {
             GeometryError::NotDivisible => {
                 write!(f, "capacity is not divisible by ways * line_bytes")
             }
+            GeometryError::TooManyWays => f.write_str(TOO_MANY_WAYS),
         }
     }
 }
@@ -113,11 +125,15 @@ impl Geometry {
     ///
     /// # Errors
     ///
-    /// Returns [`GeometryError`] if any parameter is zero or the capacity is
-    /// not an exact multiple of `ways * line_bytes`.
+    /// Returns [`GeometryError`] if any parameter is zero, `ways` exceeds
+    /// [`MAX_WAYS`], or the capacity is not an exact multiple of
+    /// `ways * line_bytes`.
     pub fn new(capacity_bytes: u64, ways: u16, line_bytes: u32) -> Result<Self, GeometryError> {
         if capacity_bytes == 0 || ways == 0 || line_bytes == 0 {
             return Err(GeometryError::ZeroParameter);
+        }
+        if ways > MAX_WAYS {
+            return Err(GeometryError::TooManyWays);
         }
         let set_bytes = u64::from(ways) * u64::from(line_bytes);
         if !capacity_bytes.is_multiple_of(set_bytes) {
@@ -136,12 +152,13 @@ impl Geometry {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero.
+    /// Panics if any parameter is zero or `ways` exceeds [`MAX_WAYS`].
     pub fn from_sets(sets: u32, ways: u16, line_bytes: u32) -> Self {
         assert!(
             sets > 0 && ways > 0 && line_bytes > 0,
             "geometry parameters must be non-zero"
         );
+        assert!(ways <= MAX_WAYS, "{TOO_MANY_WAYS}");
         Geometry {
             sets,
             ways,
@@ -295,6 +312,25 @@ mod tests {
         );
         assert_eq!(Geometry::new(1024, 4, 0), Err(GeometryError::ZeroParameter));
         assert_eq!(Geometry::new(100, 4, 64), Err(GeometryError::NotDivisible));
+    }
+
+    #[test]
+    fn associativity_is_bounded_by_the_rank_width() {
+        let g = Geometry::new(256 * 64, 256, 64).expect("256 ways fit 8-bit ranks");
+        assert_eq!((g.sets(), g.ways()), (1, 256));
+        assert_eq!(Geometry::from_sets(1, 256, 64).ways(), 256);
+        let err = Geometry::new(257 * 64, 257, 64).unwrap_err();
+        assert_eq!(err, GeometryError::TooManyWays);
+        assert!(
+            err.to_string().contains("256"),
+            "the error names the limit: {err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity exceeds 256 ways")]
+    fn from_sets_rejects_257_ways() {
+        let _ = Geometry::from_sets(1, 257, 64);
     }
 
     #[test]

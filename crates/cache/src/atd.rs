@@ -81,10 +81,11 @@ impl Atd {
     /// per the paper's footnote 6, or patch it later via
     /// [`Atd::set_cost_q`] when the real service cost arrives).
     pub fn access(&mut self, line: LineAddr, seq: u64, fill_cost_q: CostQ) -> AtdOutcome {
+        let set_index = self.tags.geometry().set_index(line);
         match self.tags.probe(line) {
             Some(way) => {
-                let cost = self.tags.cost_q_of(line);
-                self.engine.on_access(line, seq, true, cost);
+                let cost = self.tags.cost_q_at(set_index, way);
+                self.engine.on_access(line, seq, true, Some(cost));
                 self.tags.touch(line, way);
                 self.hits += 1;
                 AtdOutcome { hit: true }
@@ -92,7 +93,6 @@ impl Atd {
             None => {
                 self.engine.on_access(line, seq, false, None);
                 self.misses += 1;
-                let set_index = self.tags.geometry().set_index(line);
                 let way = match self.tags.view(set_index).first_invalid() {
                     Some(way) => way,
                     None => {

@@ -2,8 +2,8 @@
 
 use crate::policy::{ReplacementEngine, VictimCtx};
 
-/// Least-recently-used replacement: evicts the valid way with the smallest
-/// recency stamp.
+/// Least-recently-used replacement: evicts the valid way at LRU-stack
+/// position 0.
 ///
 /// In the paper's notation (§5.1, Eq. 1): `Victim_LRU = argmin_i { R(i) }`.
 /// Note that LRU is the special case of the LIN policy with λ = 0; the

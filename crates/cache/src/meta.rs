@@ -16,17 +16,21 @@ pub const COST_Q_MAX: CostQ = 7;
 ///
 /// Replacement engines see these through a [`SetView`](crate::set::SetView)
 /// and must base their victim choice only on this architectural state — the
-/// tag, the recency stamp (from which the LRU-stack position `R(i)` is
-/// derived), the fill order, and the stored quantized cost `cost_q(i)`.
+/// tag, the recency (the LRU-stack position `R(i)`), the fill order, and
+/// the stored quantized cost `cost_q(i)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct WayMeta {
     /// Whether this way holds a valid block.
     pub valid: bool,
     /// Tag of the resident block (meaningless when `!valid`).
     pub tag: u64,
-    /// Monotonic stamp of the last touch; higher = more recently used.
-    /// The LRU-stack position `R(i)` is the rank of this stamp within the
-    /// set's valid ways (0 = LRU … assoc-1 = MRU).
+    /// Recency stamp; higher = more recently used. Only the order of the
+    /// valid ways' stamps matters: [`OwnedSet::from_ways`] turns it into the
+    /// LRU-stack position `R(i)` (0 = LRU … valid_count-1 = MRU), and
+    /// [`SetView::lru_stamp`] reads that position back.
+    ///
+    /// [`OwnedSet::from_ways`]: crate::set::OwnedSet::from_ways
+    /// [`SetView::lru_stamp`]: crate::set::SetView::lru_stamp
     pub lru_stamp: u64,
     /// Monotonic stamp of when the block was filled (for FIFO and lifetime
     /// statistics).

@@ -31,9 +31,8 @@ pub struct CacheStats {
     /// Evictions of dirty blocks (writebacks generated).
     pub writebacks: u64,
     /// Misses that filled an invalid way — these are, by definition,
-    /// *compulsory or capacity-fresh* fills; together with
-    /// `first_touch_misses` they support the Table-3 compulsory-miss
-    /// accounting.
+    /// *compulsory or capacity-fresh* fills. (The L2's first-touch count
+    /// for Table 3 is kept by the CPU model, which sees the L2's misses.)
     pub cold_fills: u64,
     /// Lines inserted by a prefetcher (not counted as hits or misses).
     pub prefetch_fills: u64,
@@ -67,11 +66,6 @@ pub struct CacheModel {
     tags: TagStore,
     engine: Box<dyn ReplacementEngine>,
     stats: CacheStats,
-    /// Lines touched at least once, for compulsory-miss accounting. Kept as
-    /// a sorted bitmap-free count via the tag of first fill; we only need
-    /// the *count*, so we track it with a HashSet.
-    seen: std::collections::HashSet<LineAddr>,
-    first_touch_misses: u64,
     /// Telemetry sink (disabled unless attached) and the cache-level tag
     /// stamped on emitted events (1 = L1, 2 = L2).
     sink: SinkHandle,
@@ -85,8 +79,6 @@ impl CacheModel {
             tags: TagStore::new(geometry),
             engine,
             stats: CacheStats::default(),
-            seen: std::collections::HashSet::new(),
-            first_touch_misses: 0,
             sink: SinkHandle::disabled(),
             level: 0,
         }
@@ -129,16 +121,9 @@ impl CacheModel {
         &self.stats
     }
 
-    /// Number of misses to lines never seen before (compulsory misses in
-    /// the simulated window).
-    pub fn compulsory_misses(&self) -> u64 {
-        self.first_touch_misses
-    }
-
     /// Resets statistics (not contents), e.g. after cache warm-up.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        self.first_touch_misses = 0;
     }
 
     /// Performs one access.
@@ -147,18 +132,19 @@ impl CacheModel {
     /// * `seq` is a monotonically increasing access sequence number; it is
     ///   forwarded to the engine (Belady's OPT keys its oracle on it).
     pub fn access(&mut self, line: LineAddr, write: bool, seq: u64) -> AccessResult {
+        let set_index = self.tags.geometry().set_index(line);
         match self.tags.probe(line) {
             Some(way) => {
-                let cost = self.tags.cost_q_of(line);
-                self.engine.on_access(line, seq, true, cost);
+                let cost = self.tags.cost_q_at(set_index, way);
+                self.engine.on_access(line, seq, true, Some(cost));
                 self.tags.touch(line, way);
                 if write {
-                    self.tags.mark_dirty(line);
+                    self.tags.mark_dirty_at(set_index, way);
                 }
                 self.stats.hits += 1;
                 self.sink.emit_with(|| Event::CacheHit {
                     level: self.level,
-                    set: u64::from(self.tags.geometry().set_index(line)),
+                    set: u64::from(set_index),
                     line: line.0,
                     seq,
                 });
@@ -171,21 +157,15 @@ impl CacheModel {
             None => {
                 self.engine.on_access(line, seq, false, None);
                 self.stats.misses += 1;
-                if self.seen.insert(line) {
-                    self.first_touch_misses += 1;
-                }
-                let set_index = self.tags.geometry().set_index(line);
                 self.sink.emit_with(|| Event::CacheMiss {
                     level: self.level,
                     set: u64::from(set_index),
                     line: line.0,
                     seq,
                 });
-                // Rank of the victim way within the set's recency stack,
-                // computed only when a sink is listening: recency_ranks()
-                // walks the whole set, which would tax the uninstrumented
-                // miss path.
-                let mut victim_rank: Option<u8> = None;
+                // The victim's recency rank, read before the fill moves the
+                // way to MRU; only a cache_victim event reports it.
+                let mut victim_rank = 0u8;
                 let way = match self.tags.view(set_index).first_invalid() {
                     Some(way) => {
                         self.stats.cold_fills += 1;
@@ -193,19 +173,14 @@ impl CacheModel {
                     }
                     None => {
                         self.stats.evictions += 1;
-                        let ctx = VictimCtx {
-                            set: self.tags.view(set_index),
+                        let set = self.tags.view(set_index);
+                        let way = self.engine.victim(&VictimCtx {
+                            set,
                             incoming: line,
                             seq,
-                        };
-                        let way = self.engine.victim(&ctx);
-                        assert!(
-                            way < usize::from(self.tags.geometry().ways()),
-                            "engine returned out-of-range way"
-                        );
-                        if self.sink.enabled() {
-                            victim_rank = Some(self.tags.view(set_index).recency_ranks()[way]);
-                        }
+                        });
+                        assert!(way < set.assoc(), "engine returned out-of-range way");
+                        victim_rank = set.recency_ranks()[way];
                         way
                     }
                 };
@@ -214,18 +189,16 @@ impl CacheModel {
                     if ev.dirty {
                         self.stats.writebacks += 1;
                     }
-                    if let Some(rank) = victim_rank {
-                        self.sink.emit(Event::CacheVictim {
-                            level: self.level,
-                            set: u64::from(set_index),
-                            way: way as u64,
-                            rank: u64::from(rank),
-                            cost_q: ev.cost_q,
-                            line: ev.line.0,
-                            dirty: ev.dirty,
-                            seq,
-                        });
-                    }
+                    self.sink.emit_with(|| Event::CacheVictim {
+                        level: self.level,
+                        set: u64::from(set_index),
+                        way: way as u64,
+                        rank: u64::from(victim_rank),
+                        cost_q: ev.cost_q,
+                        line: ev.line.0,
+                        dirty: ev.dirty,
+                        seq,
+                    });
                 }
                 AccessResult {
                     hit: false,
@@ -324,7 +297,6 @@ mod tests {
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().cold_fills, 1);
-        assert_eq!(c.compulsory_misses(), 1);
     }
 
     #[test]
@@ -346,18 +318,6 @@ mod tests {
         assert!(c.record_serviced_cost(LineAddr(1), 6));
         assert_eq!(c.cost_q_of(LineAddr(1)), Some(6));
         assert!(!c.record_serviced_cost(LineAddr(99), 6));
-    }
-
-    #[test]
-    fn compulsory_misses_count_unique_lines() {
-        let mut c = small();
-        // 0,2,4 all map to set 0 of the 2-way cache: line 0 is evicted and
-        // re-missed, which must NOT count as compulsory again.
-        for (i, l) in [0u64, 2, 4, 0, 2, 4, 0].iter().enumerate() {
-            c.access(LineAddr(*l), false, i as u64);
-        }
-        assert_eq!(c.compulsory_misses(), 3);
-        assert!(c.stats().misses > 3);
     }
 
     #[test]

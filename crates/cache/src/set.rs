@@ -5,24 +5,24 @@ use crate::meta::{CostQ, WayMeta};
 
 /// A read-only view of one cache set at victim-selection time.
 ///
-/// Engines use this to inspect the candidate ways: their validity, recency
-/// stamps, `cost_q`, and the line addresses they hold. The view also knows
-/// the cache [`Geometry`] so tags can be turned back into [`LineAddr`]s
-/// (needed by Belady's OPT, which indexes its future-knowledge table by
-/// line address).
+/// Engines use this to inspect the candidate ways: their validity, their
+/// LRU-stack positions `R(i)`, `cost_q`, and the line addresses they hold.
+/// The view also knows the cache [`Geometry`] so tags can be turned back
+/// into [`LineAddr`]s (needed by Belady's OPT, which indexes its
+/// future-knowledge table by line address).
 ///
 /// The view borrows one column slice per metadata field (struct-of-arrays,
 /// mirroring [`TagStore`](crate::tagstore::TagStore)'s layout) rather than
 /// a slice of per-way structs: victim selection scans one field across all
-/// ways at a time (all tags, then all stamps, …), so packing each field
+/// ways at a time (all tags, then all ranks, …), so packing each field
 /// contiguously keeps those scans within a cache line or two instead of
-/// striding over 40-byte records. To build a view from standalone
+/// striding over per-way records. To build a view from standalone
 /// [`WayMeta`] records (tests, benchmarks), go through [`OwnedSet`].
 #[derive(Clone, Copy, Debug)]
 pub struct SetView<'a> {
     valid: &'a [bool],
     tag: &'a [u64],
-    lru_stamp: &'a [u64],
+    rank: &'a [u8],
     fill_stamp: &'a [u64],
     cost_q: &'a [CostQ],
     set_index: u32,
@@ -30,7 +30,8 @@ pub struct SetView<'a> {
 }
 
 impl<'a> SetView<'a> {
-    /// Creates a view over one set's metadata columns.
+    /// Creates a view over one set's metadata columns. `rank` holds each
+    /// way's LRU-stack position (see [`SetView::recency_ranks`]).
     ///
     /// # Panics
     ///
@@ -39,7 +40,7 @@ impl<'a> SetView<'a> {
     pub fn new(
         valid: &'a [bool],
         tag: &'a [u64],
-        lru_stamp: &'a [u64],
+        rank: &'a [u8],
         fill_stamp: &'a [u64],
         cost_q: &'a [CostQ],
         set_index: u32,
@@ -49,7 +50,7 @@ impl<'a> SetView<'a> {
         assert!(
             valid.len() == assoc
                 && tag.len() == assoc
-                && lru_stamp.len() == assoc
+                && rank.len() == assoc
                 && fill_stamp.len() == assoc
                 && cost_q.len() == assoc,
             "set view must cover exactly one set"
@@ -57,7 +58,7 @@ impl<'a> SetView<'a> {
         SetView {
             valid,
             tag,
-            lru_stamp,
+            rank,
             fill_stamp,
             cost_q,
             set_index,
@@ -77,10 +78,13 @@ impl<'a> SetView<'a> {
         self.tag[way]
     }
 
-    /// Recency stamp of `way`; higher = more recently used.
+    /// Recency of `way` as a stamp: its LRU-stack position widened to
+    /// `u64`, so higher = more recently used and the order of the valid
+    /// ways is that of [`SetView::recency_ranks`]. Round-trips through
+    /// [`WayMeta::lru_stamp`] and [`OwnedSet::from_ways`].
     #[inline]
     pub fn lru_stamp(&self, way: usize) -> u64 {
-        self.lru_stamp[way]
+        u64::from(self.rank[way])
     }
 
     /// Fill stamp of `way` (when its block was brought in).
@@ -142,64 +146,21 @@ impl<'a> SetView<'a> {
     /// the paper (§5.1) — 0 for the least-recently-used valid way up to
     /// `valid_count() - 1` for the MRU way. Invalid ways get rank 0.
     ///
-    /// Computed by ranking recency stamps; O(assoc²) but the associativities
-    /// in play are ≤ 16, and profiling showed this is not a bottleneck.
-    pub fn recency_ranks(&self) -> Vec<u8> {
-        // The u8 rank caps the supported associativity at 256; the paper's
-        // configurations top out at 16-way.
-        assert!(self.assoc() <= 256, "recency ranks are 8-bit");
-        let mut ranks = vec![0u8; self.assoc()];
-        for (i, slot) in ranks.iter_mut().enumerate() {
-            if !self.valid[i] {
-                continue;
-            }
-            let mut rank = 0u8;
-            for j in 0..self.assoc() {
-                if self.valid[j] && self.lru_stamp[j] < self.lru_stamp[i] {
-                    rank += 1;
-                }
-            }
-            *slot = rank;
-        }
-        self.check_rank_permutation(&ranks);
-        ranks
-    }
-
-    /// Model check (under the `invariants` feature): the ranks of the valid
-    /// ways form a permutation of `0..valid_count()` — i.e. the recency
-    /// stack orders every resident block exactly once, the property Eq. 1's
-    /// `R(i)` and the LIN policy's rank term rely on.
-    #[cfg(feature = "invariants")]
-    fn check_rank_permutation(&self, ranks: &[u8]) {
-        let mut seen = vec![false; self.assoc()];
-        let mut valid = 0usize;
-        for (&v, &r) in self.valid.iter().zip(ranks) {
-            if !v {
-                continue;
-            }
-            valid += 1;
-            let r = usize::from(r);
-            crate::invariant!(
-                r < self.assoc() && !seen[r],
-                "recency ranks of valid ways must be distinct stack positions"
-            );
-            seen[r] = true;
-        }
-        crate::invariant!(
-            seen.iter().filter(|&&s| s).count() == valid && seen[..valid].iter().all(|&s| s),
-            "recency ranks must cover 0..valid_count with no gaps"
-        );
-    }
-
-    #[cfg(not(feature = "invariants"))]
+    /// The tag store keeps these positions as they are and updates them on
+    /// every touch, fill and invalidation, so this borrows the column: no
+    /// allocation and no ranking work at victim-selection time.
     #[inline]
-    fn check_rank_permutation(&self, _ranks: &[u8]) {}
+    pub fn recency_ranks(&self) -> &'a [u8] {
+        self.rank
+    }
 
-    /// The valid way with the smallest recency stamp (the LRU way), or
-    /// `None` if the set is empty.
+    /// The valid way at LRU-stack position 0 (the LRU way), or `None` if
+    /// the set is empty.
     pub fn lru_way(&self) -> Option<usize> {
-        let stamps = self.lru_stamp;
-        self.valid_ways().min_by_key(move |&w| stamps[w])
+        self.valid
+            .iter()
+            .zip(self.rank)
+            .position(|(&v, &r)| v && r == 0)
     }
 
     /// The valid way with the smallest fill stamp (the FIFO victim), or
@@ -221,7 +182,7 @@ impl<'a> SetView<'a> {
 pub struct OwnedSet {
     valid: Vec<bool>,
     tag: Vec<u64>,
-    lru_stamp: Vec<u64>,
+    rank: Vec<u8>,
     fill_stamp: Vec<u64>,
     cost_q: Vec<CostQ>,
     set_index: u32,
@@ -229,17 +190,30 @@ pub struct OwnedSet {
 }
 
 impl OwnedSet {
-    /// Transposes per-way records into columns.
+    /// Transposes per-way records into columns, turning the recency stamps
+    /// into LRU-stack positions once: a valid way's rank is the number of
+    /// valid ways with a smaller `lru_stamp`, and invalid ways get rank 0.
     ///
     /// # Panics
     ///
-    /// Panics (via [`SetView::new`] at view time) if `ways.len()` does not
-    /// match the geometry's associativity.
+    /// Panics if `ways` holds more than [`MAX_WAYS`](crate::addr::MAX_WAYS)
+    /// records, and (via [`SetView::new`] at view time) if `ways.len()`
+    /// does not match the geometry's associativity.
     pub fn from_ways(ways: &[WayMeta], set_index: u32, geometry: Geometry) -> Self {
+        let rank = ways
+            .iter()
+            .map(|w| {
+                let below = ways
+                    .iter()
+                    .filter(|o| w.valid && o.valid && o.lru_stamp < w.lru_stamp)
+                    .count();
+                u8::try_from(below).expect("a set holds at most MAX_WAYS ways")
+            })
+            .collect();
         OwnedSet {
             valid: ways.iter().map(|w| w.valid).collect(),
             tag: ways.iter().map(|w| w.tag).collect(),
-            lru_stamp: ways.iter().map(|w| w.lru_stamp).collect(),
+            rank,
             fill_stamp: ways.iter().map(|w| w.fill_stamp).collect(),
             cost_q: ways.iter().map(|w| w.cost_q).collect(),
             set_index,
@@ -252,7 +226,7 @@ impl OwnedSet {
         SetView::new(
             &self.valid,
             &self.tag,
-            &self.lru_stamp,
+            &self.rank,
             &self.fill_stamp,
             &self.cost_q,
             self.set_index,
@@ -288,7 +262,8 @@ mod tests {
         ];
         let set = OwnedSet::from_ways(&ways, 0, g);
         let v = set.view();
-        assert_eq!(v.recency_ranks(), vec![2, 0, 3, 1]);
+        assert_eq!(v.recency_ranks(), [2, 0, 3, 1]);
+        assert_eq!(v.lru_stamp(2), 3, "stamps read back as ranks");
         assert_eq!(v.lru_way(), Some(1));
     }
 
@@ -305,7 +280,8 @@ mod tests {
         let v = set.view();
         assert_eq!(v.valid_count(), 2);
         assert_eq!(v.first_invalid(), Some(1));
-        assert_eq!(v.recency_ranks(), vec![0, 0, 1, 0]);
+        assert_eq!(v.recency_ranks(), [0, 0, 1, 0]);
+        assert_eq!(v.lru_way(), Some(0), "rank 0 of an invalid way is not LRU");
         assert_eq!(v.oldest_fill_way(), Some(2));
         assert_eq!(v.valid_ways().collect::<Vec<_>>(), vec![0, 2]);
     }

@@ -13,11 +13,18 @@ use crate::set::SetView;
 /// performance of replacement policies", §6).
 ///
 /// Metadata is laid out struct-of-arrays: one contiguous column per field
-/// (`valid`, `tag`, `lru_stamp`, …), each indexed by
-/// `set * assoc + way`. The hot operations — `probe`'s tag-match scan and
-/// the recency scans behind victim selection — each read exactly one field
-/// across a set's ways, so a columnar layout turns them into short
-/// contiguous loads instead of strided walks over 40-byte records.
+/// (`valid`, `tag`, `rank`, …), each indexed by `set * assoc + way`. The
+/// hot operations — `probe`'s tag-match scan, the rank update behind every
+/// touch and fill, and the scans behind victim selection — each read one
+/// or two fields across a set's ways, so a columnar layout turns them into
+/// short contiguous loads instead of strided walks over per-way records.
+///
+/// Recency is kept as the LRU-stack position itself: `rank[i]` is `R(i)`
+/// of the paper (§5.1), 0 for the LRU way up to `valid_count - 1` for the
+/// MRU way, and 0 for invalid ways. The valid ranks of a set are always a
+/// permutation of `0..valid_count`. A touch, fill or invalidation updates
+/// them in one pass over the set, so victim selection reads `R(i)`
+/// directly instead of ranking timestamps.
 ///
 /// [`CacheModel`]: crate::model::CacheModel
 /// [`Atd`]: crate::atd::Atd
@@ -38,11 +45,11 @@ pub struct TagStore {
     geometry: Geometry,
     valid: Vec<bool>,
     tag: Vec<u64>,
-    lru_stamp: Vec<u64>,
+    rank: Vec<u8>,
     fill_stamp: Vec<u64>,
     cost_q: Vec<CostQ>,
     dirty: Vec<bool>,
-    /// Monotonic stamp source for recency/fill ordering.
+    /// Monotonic stamp source for fill ordering (FIFO).
     next_stamp: u64,
 }
 
@@ -54,7 +61,7 @@ impl TagStore {
             geometry,
             valid: vec![false; n],
             tag: vec![0; n],
-            lru_stamp: vec![0; n],
+            rank: vec![0; n],
             fill_stamp: vec![0; n],
             cost_q: vec![0; n],
             dirty: vec![false; n],
@@ -83,7 +90,7 @@ impl TagStore {
         SetView::new(
             &self.valid[r.clone()],
             &self.tag[r.clone()],
-            &self.lru_stamp[r.clone()],
+            &self.rank[r.clone()],
             &self.fill_stamp[r.clone()],
             &self.cost_q[r],
             set_index,
@@ -109,11 +116,12 @@ impl TagStore {
 
     /// Marks a resident way as most-recently-used (hit handling).
     pub fn touch(&mut self, line: LineAddr, way: usize) {
-        let stamp = self.take_stamp();
         let set = self.geometry.set_index(line);
-        let i = self.range(set).start + way;
-        debug_assert!(self.valid[i], "touching an invalid way");
-        self.lru_stamp[i] = stamp;
+        debug_assert!(
+            self.valid[self.range(set).start + way],
+            "touching an invalid way"
+        );
+        self.promote(set, way);
         self.check_set_invariants(set);
     }
 
@@ -135,9 +143,9 @@ impl TagStore {
             dirty: self.dirty[i],
             cost_q: self.cost_q[i],
         });
+        self.promote(set, way);
         self.valid[i] = true;
         self.tag[i] = tag;
-        self.lru_stamp[i] = stamp;
         self.fill_stamp[i] = stamp;
         self.cost_q[i] = cost_q;
         self.dirty[i] = dirty;
@@ -155,13 +163,47 @@ impl TagStore {
             dirty: self.dirty[i],
             cost_q: self.cost_q[i],
         };
+        self.close_gap(set, way, self.rank[i]);
         self.valid[i] = false;
         self.tag[i] = 0;
-        self.lru_stamp[i] = 0;
+        self.rank[i] = 0;
         self.fill_stamp[i] = 0;
         self.cost_q[i] = 0;
         self.dirty[i] = false;
+        self.check_set_invariants(set);
         Some(evicted)
+    }
+
+    /// Moves `way` to the MRU position of set `set_index`: the valid ways
+    /// ranked above its old position slide down one, and `way` takes the
+    /// rank just above every other valid way. An invalid `way` vacates no
+    /// position.
+    #[inline]
+    fn promote(&mut self, set_index: u32, way: usize) {
+        let i = self.range(set_index).start + way;
+        // No valid rank exceeds u8::MAX, so nothing slides.
+        let vacated = if self.valid[i] { self.rank[i] } else { u8::MAX };
+        self.rank[i] = self.close_gap(set_index, way, vacated);
+    }
+
+    /// One pass over set `set_index`: every valid way other than `way`
+    /// ranked above `vacated` slides down one position. Returns the number
+    /// of valid ways other than `way`.
+    #[inline]
+    fn close_gap(&mut self, set_index: u32, way: usize, vacated: u8) -> u8 {
+        let r = self.range(set_index);
+        let mut others = 0u8;
+        for (j, (&v, rank)) in self.valid[r.clone()]
+            .iter()
+            .zip(&mut self.rank[r])
+            .enumerate()
+        {
+            let other = v && j != way;
+            // At most `MAX_WAYS - 1` = 255 others.
+            others += u8::from(other);
+            *rank -= u8::from(other && *rank > vacated);
+        }
+        others
     }
 
     /// Updates the stored `cost_q` of a resident line (done when the miss
@@ -184,21 +226,24 @@ impl TagStore {
     pub fn cost_q_of(&self, line: LineAddr) -> Option<CostQ> {
         self.probe(line).map(|way| {
             let set = self.geometry.set_index(line);
-            self.cost_q[self.range(set).start + way]
+            self.cost_q_at(set, way)
         })
     }
 
-    /// Sets the dirty bit of a resident line. Returns `false` if absent.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        match self.probe(line) {
-            Some(way) => {
-                let set = self.geometry.set_index(line);
-                let i = self.range(set).start + way;
-                self.dirty[i] = true;
-                true
-            }
-            None => false,
-        }
+    /// The stored `cost_q` of `way` in set `set_index` (the way a
+    /// [`probe`](Self::probe) returned; meaningless for an invalid way).
+    #[inline]
+    pub fn cost_q_at(&self, set_index: u32, way: usize) -> CostQ {
+        self.cost_q[self.range(set_index).start + way]
+    }
+
+    /// Sets the dirty bit of `way` in set `set_index` (the way a
+    /// [`probe`](Self::probe) returned).
+    #[inline]
+    pub fn mark_dirty_at(&mut self, set_index: u32, way: usize) {
+        let i = self.range(set_index).start + way;
+        debug_assert!(self.valid[i], "dirtying an invalid way");
+        self.dirty[i] = true;
     }
 
     /// Number of valid blocks currently resident.
@@ -228,19 +273,31 @@ impl TagStore {
     }
 
     /// Model check (under the `invariants` feature) after any mutation of
-    /// one set: every valid way has a distinct recency stamp drawn from the
-    /// stamps already issued, no two valid ways hold the same tag, and every
+    /// one set: the ranks of the valid ways are a permutation of
+    /// `0..valid_count` (the recency stack orders every resident block
+    /// exactly once, the property Eq. 1's `R(i)` and LIN's rank term rely
+    /// on) and invalid ways hold rank 0; fill stamps come from the stamps
+    /// already issued; no two valid ways hold the same tag; and every
     /// `cost_q` fits the 3-bit field of Fig. 3b.
     #[cfg(feature = "invariants")]
     fn check_set_invariants(&self, set_index: u32) {
         let r = self.range(set_index);
+        let valid = self.valid[r.clone()].iter().filter(|&&v| v).count();
+        let mut seen = vec![false; r.len()];
         for i in r.clone() {
             if !self.valid[i] {
+                crate::invariant!(self.rank[i] == 0, "invalid ways hold rank 0");
                 continue;
             }
+            let rank = usize::from(self.rank[i]);
             crate::invariant!(
-                self.lru_stamp[i] < self.next_stamp && self.fill_stamp[i] < self.next_stamp,
-                "stamps must come from the monotonic source"
+                rank < valid && !seen[rank],
+                "recency ranks of valid ways must be distinct positions in 0..valid_count"
+            );
+            seen[rank] = true;
+            crate::invariant!(
+                self.fill_stamp[i] < self.next_stamp,
+                "fill stamps must come from the monotonic source"
             );
             crate::invariant!(
                 self.cost_q[i] <= crate::meta::COST_Q_MAX,
@@ -250,10 +307,6 @@ impl TagStore {
                 crate::invariant!(
                     !self.valid[j] || self.tag[j] != self.tag[i],
                     "a tag may be resident in at most one way of a set"
-                );
-                crate::invariant!(
-                    !self.valid[j] || self.lru_stamp[j] != self.lru_stamp[i],
-                    "recency stamps are unique, so ranks form a permutation"
                 );
             }
         }
@@ -319,7 +372,7 @@ mod tests {
         t.touch(a, 0);
         let view = t.view(0);
         assert_eq!(view.lru_way(), Some(1));
-        assert_eq!(view.recency_ranks(), vec![1, 0]);
+        assert_eq!(view.recency_ranks(), [1, 0]);
     }
 
     #[test]
@@ -365,10 +418,10 @@ mod tests {
         let mut t = store();
         let a = LineAddr(7);
         t.fill(a, 0, false, 0);
-        assert!(t.mark_dirty(a));
+        let way = t.probe(a).unwrap();
+        t.mark_dirty_at(t.geometry().set_index(a), way);
         let ev = t.invalidate(a).unwrap();
         assert!(ev.dirty);
-        assert!(!t.mark_dirty(a));
     }
 
     #[test]
@@ -382,7 +435,10 @@ mod tests {
         assert_eq!(v.cost_q(1), 6);
         assert_eq!(v.line_of(0), Some(LineAddr(0)));
         assert_eq!(v.line_of(1), Some(LineAddr(4)));
-        assert!(v.lru_stamp(0) < v.lru_stamp(1), "fill order sets recency");
-        assert_eq!(v.fill_stamp(0), v.lru_stamp(0));
+        assert_eq!(v.recency_ranks(), [0, 1], "fill order sets recency");
+        assert!(
+            v.fill_stamp(0) < v.fill_stamp(1),
+            "fill order sets fill stamps"
+        );
     }
 }

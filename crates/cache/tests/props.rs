@@ -6,13 +6,107 @@ use mlpsim_cache::addr::{Geometry, LineAddr};
 use mlpsim_cache::belady::BeladyEngine;
 use mlpsim_cache::fifo::FifoEngine;
 use mlpsim_cache::lru::LruEngine;
+use mlpsim_cache::meta::WayMeta;
 use mlpsim_cache::model::CacheModel;
 use mlpsim_cache::random::RandomEngine;
+use mlpsim_cache::set::OwnedSet;
 use mlpsim_cache::tagstore::TagStore;
 use proptest::prelude::*;
 
 fn arb_lines(universe: u64, len: usize) -> impl Strategy<Value = Vec<LineAddr>> {
     prop::collection::vec((0..universe).prop_map(LineAddr), 1..len)
+}
+
+/// Reference recency model: one monotonic stamp per way, bumped on every
+/// touch and fill, with `R(i)` recomputed by ranking the valid ways'
+/// stamps in O(ways²) — the definition the kept ranks must match.
+struct StampOracle {
+    valid: Vec<bool>,
+    stamp: Vec<u64>,
+    next: u64,
+}
+
+impl StampOracle {
+    fn new(lines: usize) -> Self {
+        StampOracle {
+            valid: vec![false; lines],
+            stamp: vec![0; lines],
+            next: 1,
+        }
+    }
+
+    fn touch(&mut self, i: usize) {
+        self.valid[i] = true;
+        self.stamp[i] = self.next;
+        self.next += 1;
+    }
+
+    fn ranks(&self, ways: std::ops::Range<usize>) -> Vec<u8> {
+        ways.clone()
+            .map(|i| {
+                let below = ways
+                    .clone()
+                    .filter(|&j| self.valid[i] && self.valid[j] && self.stamp[j] < self.stamp[i])
+                    .count();
+                u8::try_from(below).unwrap()
+            })
+            .collect()
+    }
+}
+
+/// Replays `ops` (line, op, way hint) on a `ways`-way tag store and the
+/// stamp oracle, checking after every operation that the set's ranks, its
+/// LRU way and an `OwnedSet` built from the oracle's stamps all agree.
+fn check_against_stamp_oracle(ways: u16, ops: &[(u64, u8, u8)]) {
+    let geom = Geometry::from_sets(2, ways, 64);
+    let assoc = usize::from(ways);
+    let mut tags = TagStore::new(geom);
+    let mut oracle = StampOracle::new(geom.lines() as usize);
+    for &(raw, op, hint) in ops {
+        let line = LineAddr(raw % (3 * geom.lines()));
+        let set = geom.set_index(line);
+        let base = set as usize * assoc;
+        match (op, tags.probe(line)) {
+            (0, Some(way)) => {
+                tags.touch(line, way);
+                oracle.touch(base + way);
+            }
+            (1, Some(way)) => {
+                tags.invalidate(line).unwrap();
+                oracle.valid[base + way] = false;
+            }
+            (_, found) => {
+                let way = found
+                    .or_else(|| tags.view(set).first_invalid())
+                    .unwrap_or(usize::from(hint) % assoc);
+                tags.fill(line, way, false, 0);
+                oracle.touch(base + way);
+            }
+        }
+        let view = tags.view(set);
+        let want = oracle.ranks(base..base + assoc);
+        prop_assert_eq!(
+            view.recency_ranks(),
+            &want[..],
+            "{}-way set {} ranks",
+            ways,
+            set
+        );
+        let oldest = (base..base + assoc)
+            .filter(|&i| oracle.valid[i])
+            .min_by_key(|&i| oracle.stamp[i])
+            .map(|i| i - base);
+        prop_assert_eq!(view.lru_way(), oldest, "{}-way LRU way", ways);
+        let metas: Vec<WayMeta> = (base..base + assoc)
+            .map(|i| WayMeta {
+                valid: oracle.valid[i],
+                lru_stamp: oracle.stamp[i],
+                ..WayMeta::invalid()
+            })
+            .collect();
+        let owned = OwnedSet::from_ways(&metas, set, geom);
+        prop_assert_eq!(owned.view().recency_ranks(), &want[..], "OwnedSet ranks");
+    }
 }
 
 proptest! {
@@ -90,8 +184,8 @@ proptest! {
     /// touch always moves its way to MRU (the highest rank; rank 0 is the
     /// LRU block Eq. 1's `R(i)` wants to victimize first). Run with
     /// `--features invariants` this also routes every operation through
-    /// the tag store's internal structural checks (unique tags, unique
-    /// stamps, 3-bit cost_q).
+    /// the tag store's internal structural checks (unique tags, ranks a
+    /// permutation, 3-bit cost_q).
     #[test]
     fn lru_stack_survives_arbitrary_ops(
         ops in prop::collection::vec((0u64..48, 0u8..3, 0u8..8), 1..250)
@@ -132,6 +226,18 @@ proptest! {
             ranks.sort_unstable();
             let expect: Vec<u8> = (0..ranks.len() as u8).collect();
             prop_assert_eq!(ranks, expect, "ranks must be a permutation of 0..valid");
+        }
+    }
+
+    /// The kept ranks equal the stamp ranking of a reference model under
+    /// random interleavings of touch, fill and invalidate, on 1-, 4- and
+    /// 16-way sets.
+    #[test]
+    fn ranks_match_the_stamp_oracle(
+        ops in prop::collection::vec((0u64..1 << 16, 0u8..3, 0u8..16), 1..300)
+    ) {
+        for ways in [1, 4, 16] {
+            check_against_stamp_oracle(ways, &ops);
         }
     }
 

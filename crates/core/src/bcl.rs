@@ -89,20 +89,19 @@ impl BclEngine {
 impl ReplacementEngine for BclEngine {
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let ranks = ctx.set.recency_ranks();
-        // Order the valid ways by recency rank (0 = LRU first).
-        let mut by_rank: Vec<usize> = ctx.set.valid_ways().collect();
-        by_rank.sort_by_key(|&w| ranks[w]);
-        let lru_way = by_rank[0];
+        let lru_way = ctx
+            .set
+            .lru_way()
+            .expect("victim() is only invoked on full sets");
         let lru_line = ctx.set.line_of(lru_way).expect("valid way");
         let lru_cost = ctx.set.cost_q(lru_way);
 
-        // Cheapest block within the search depth that is cheaper than the
-        // LRU block.
-        let candidate = by_rank
-            .iter()
-            .take(usize::from(self.config.depth).min(by_rank.len()))
-            .copied()
-            .filter(|&w| ctx.set.cost_q(w) < lru_cost)
+        // Cheapest block within the search depth (the `depth` lowest
+        // recency ranks) that is cheaper than the LRU block.
+        let candidate = ctx
+            .set
+            .valid_ways()
+            .filter(|&w| ranks[w] < self.config.depth && ctx.set.cost_q(w) < lru_cost)
             .min_by_key(|&w| (ctx.set.cost_q(w), ranks[w]));
 
         match candidate {

@@ -1,5 +1,6 @@
 //! The Linear (LIN) replacement policy (paper §5.1, Eq. 2).
 
+use crate::convert::idx_u64;
 use mlpsim_cache::policy::{ReplacementEngine, VictimCtx};
 
 /// The LIN policy: victim = `argmin_i { R(i) + λ · cost_q(i) }`, where
@@ -54,21 +55,22 @@ impl LinEngine {
 impl ReplacementEngine for LinEngine {
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let ranks = ctx.set.recency_ranks();
-        let mut best_way = None;
-        let mut best_score = u32::MAX;
-        let mut best_rank = u8::MAX;
-        for way in ctx.set.valid_ways() {
-            let rank = ranks[way];
-            let score = self.score(rank, ctx.set.cost_q(way));
-            // Strict less-than on score; ties break to the smallest
-            // recency rank as the paper specifies.
-            if score < best_score || (score == best_score && rank < best_rank) {
-                best_way = Some(way);
-                best_score = score;
-                best_rank = rank;
-            }
-        }
-        best_way.expect("victim() is only invoked on full sets")
+        // One branch-free minimum over a packed key: the score, then the
+        // recency rank (ties on the score break to the smallest rank, as
+        // the paper specifies), then the way index, which the low byte
+        // returns. Rank and way each fit a byte: Geometry caps sets at
+        // 256 ways.
+        let best = ctx
+            .set
+            .valid_ways()
+            .map(|way| {
+                let rank = ranks[way];
+                let score = u64::from(self.score(rank, ctx.set.cost_q(way)));
+                (score << 16) | (u64::from(rank) << 8) | idx_u64(way)
+            })
+            .min()
+            .expect("victim() is only invoked on full sets");
+        usize::try_from(best & 0xff).expect("the way index is the key's low byte")
     }
 
     fn name(&self) -> &'static str {

@@ -42,7 +42,7 @@ use mlpsim_mem::{MemorySystem, Mshr};
 use mlpsim_telemetry::{Event, NoProbe, Probe};
 use mlpsim_trace::record::{Access, AccessKind};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// A full-window stall must be at least this long (cycles) to count as a
 /// distinct "long-latency stall" episode — long enough to exclude the
@@ -90,6 +90,10 @@ pub struct System<P: Probe = NoProbe> {
     prefetches_issued: u64,
     prefetches_promoted: u64,
     l2: CacheModel,
+    /// Lines that have missed in the L2 at least once: its size is the
+    /// compulsory-miss count of Table 3 (`SimResult::l2_compulsory`). Only
+    /// the L2 is tracked; no result reads first touches at the L1s.
+    l2_seen: HashSet<LineAddr>,
     mshr: Mshr,
     ccl: Ccl,
     /// Footnote-4 mode: open the CCL gate only during stall spans.
@@ -204,6 +208,7 @@ impl<P: Probe> System<P> {
             prefetches_issued: 0,
             prefetches_promoted: 0,
             l2,
+            l2_seen: HashSet::new(),
             mshr,
             ccl,
             gated_cost,
@@ -455,6 +460,7 @@ impl<P: Probe> System<P> {
             if r2.hit {
                 continue;
             }
+            self.l2_seen.insert(line);
             if let Some(id) = self.mshr.lookup(line) {
                 // Wrong-path merges never promote: a speculative touch is
                 // no evidence the line is wanted.
@@ -537,6 +543,7 @@ impl<P: Probe> System<P> {
             }
             return (done, false);
         }
+        self.l2_seen.insert(line);
         // A tag miss on a still-in-flight line (the line was evicted while
         // outstanding): merge rather than re-request.
         if let Some(id) = self.mshr.lookup(line) {
@@ -990,7 +997,7 @@ impl<P: Probe> System<P> {
             prefetches_issued: self.prefetches_issued,
             prefetches_promoted: self.prefetches_promoted,
             l2: *self.l2.stats(),
-            l2_compulsory: self.l2.compulsory_misses(),
+            l2_compulsory: self.l2_seen.len() as u64,
             mem: self.mem.stats(),
             cost_hist: self.cost_hist,
             deltas: *self.deltas.stats(),
@@ -1125,6 +1132,23 @@ mod tests {
         assert_eq!(r.l1.accesses(), 0);
         assert_eq!(r.l2.accesses(), 2);
         assert_eq!(r.l2.hits, 1);
+    }
+
+    #[test]
+    fn l2_compulsory_counts_each_lines_first_miss_only() {
+        let mut cfg = baseline();
+        cfg.l1 = None;
+        // Miss then hit: one compulsory miss.
+        let trace = Trace::from_accesses(vec![Access::load(1, 10), Access::load(1, 600)]);
+        let r = run(cfg.clone(), &trace);
+        assert_eq!((r.l2.misses, r.l2_compulsory), (1, 1));
+        // Seventeen lines into one 16-way set, then the first again: it was
+        // evicted, and its second miss is not compulsory.
+        let mut v: Vec<Access> = (0..17u64).map(|i| Access::load(1024 * i, 600)).collect();
+        v.push(Access::load(0, 600));
+        let r = run(cfg, &Trace::from_accesses(v));
+        assert_eq!(r.l2.misses, 18);
+        assert_eq!(r.l2_compulsory, 17);
     }
 
     #[test]

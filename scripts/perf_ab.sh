@@ -7,6 +7,8 @@
 # thread) in alternating pairs, and which side runs first swaps every
 # pair, so drift in the host's load falls on both alike. The gate fails
 #   - if any run exits non-zero (a build failure or a failed output check),
+#   - if any run does not report that its digests match the ones recorded
+#     in perfbench/reference.json for SEED (so SEED must be a recorded one),
 #   - if the change's median `wall_s` exceeds the base's by more than the
 #     `wall_s` bound in BENCHMARK.json.
 #
@@ -20,7 +22,8 @@ set -euo pipefail
 
 PAIRS=5
 SECONDS_PER_RUN=10
-SEED=42
+# A seed with recorded `cell` digests in perfbench/reference.json.
+SEED=9001
 BASE_REF=${1:-origin/main}
 
 WORK=$(mktemp -d)
@@ -61,6 +64,11 @@ run_side() { # args: side (base|change)
         --workload cell --seed "$SEED" --seconds "$SECONDS_PER_RUN") >"$out"; then
         echo "perf_ab: $side run failed" >&2
         tail -n 20 "$out" >&2
+        exit 1
+    fi
+    if ! grep -q '^reference: [0-9]* digests match the recorded' "$out"; then
+        echo "perf_ab: $side run did not match recorded reference digests" >&2
+        grep '^reference:' "$out" >&2 || echo "  (no reference line)" >&2
         exit 1
     fi
     local wall
