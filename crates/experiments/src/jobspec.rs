@@ -19,7 +19,9 @@
 //! [`crate::runner::DEFAULT_SEED`], `jobs` to 1 (a server runs many jobs;
 //! width is an explicit opt-in, capped at [`MAX_JOBS`]), `deadline_ms` to
 //! none. A `sweep` without `benches`/`policies` covers all 14 benchmarks
-//! under LRU and LIN(4).
+//! under LRU and LIN(4). Every size has a limit — [`MAX_ACCESSES`],
+//! [`MAX_BENCHES`], [`MAX_POLICIES`], [`MAX_JOBS`] — and a spec past one is
+//! rejected with a message naming it.
 
 use crate::figures::{try_fig5_report, try_sweep_report};
 use crate::runner::{CellSpanSink, RunOptions, DEFAULT_ACCESSES, DEFAULT_SEED};
@@ -37,6 +39,19 @@ use std::sync::Arc;
 /// threads, so an unbounded value would let one request exhaust the
 /// server's threads.
 pub const MAX_JOBS: usize = 64;
+
+/// Upper bound on a spec's `accesses`: every trace of the job is generated
+/// in memory before its first cell runs. Ten times the largest run any
+/// workload of this repository makes (perfbench's `cell`, 2M accesses).
+pub const MAX_ACCESSES: usize = 20_000_000;
+
+/// Upper bound on the length of a `sweep`'s `benches` (names may repeat):
+/// one trace per entry. Well above ten times the 14 benchmarks.
+pub const MAX_BENCHES: usize = 256;
+
+/// Upper bound on the length of a `sweep`'s `policies`: one simulation per
+/// entry per benchmark.
+pub const MAX_POLICIES: usize = 64;
 
 /// What a job computes.
 #[derive(Clone, Debug)]
@@ -129,8 +144,10 @@ impl JobSpec {
         let accesses = match v.get("accesses") {
             None => DEFAULT_ACCESSES,
             Some(n) => match n.as_u64() {
-                Some(n) if n >= 1 => usize::try_from(n)
-                    .map_err(|_| "\"accesses\" does not fit this platform".to_string())?,
+                Some(n) if n >= 1 => match usize::try_from(n) {
+                    Ok(a) if a <= MAX_ACCESSES => a,
+                    _ => return Err(format!("\"accesses\" must be at most {MAX_ACCESSES}")),
+                },
                 _ => return Err("\"accesses\" wants a positive integer".into()),
             },
         };
@@ -160,6 +177,9 @@ impl JobSpec {
             "sweep" => {
                 let benches = match v.get("benches") {
                     None => SpecBench::ALL.to_vec(),
+                    Some(Json::Arr(items)) if items.len() > MAX_BENCHES => {
+                        return Err(format!("\"benches\" may list at most {MAX_BENCHES} names"));
+                    }
                     Some(Json::Arr(items)) => {
                         let mut out = Vec::with_capacity(items.len());
                         for item in items {
@@ -177,6 +197,11 @@ impl JobSpec {
                 };
                 let policies = match v.get("policies") {
                     None => vec![PolicyKind::Lru, PolicyKind::lin4()],
+                    Some(Json::Arr(items)) if items.len() > MAX_POLICIES => {
+                        return Err(format!(
+                            "\"policies\" may list at most {MAX_POLICIES} names"
+                        ));
+                    }
                     Some(Json::Arr(items)) => {
                         let mut out = Vec::with_capacity(items.len());
                         for item in items {
@@ -430,23 +455,56 @@ mod tests {
 
     #[test]
     fn bad_specs_name_the_field() {
+        let list = |name: &str, n: usize| vec![format!("{name:?}"); n].join(",");
+        let too_many_benches = format!(
+            r#"{{"kind":"sweep","benches":[{}]}}"#,
+            list("mcf", MAX_BENCHES + 1)
+        );
+        let too_many_policies = format!(
+            r#"{{"kind":"sweep","policies":[{}]}}"#,
+            list("lru", MAX_POLICIES + 1)
+        );
         for (raw, needle) in [
             (r#"{}"#, "kind"),
             (r#"{"kind":"fig6"}"#, "unknown job kind"),
             (r#"{"kind":"fig5","accesses":0}"#, "accesses"),
             (r#"{"kind":"fig5","jobs":"many"}"#, "jobs"),
             (r#"{"kind":"fig5","jobs":65}"#, "at most 64"),
+            (
+                r#"{"kind":"fig5","accesses":20000001}"#,
+                "\"accesses\" must be at most 20000000",
+            ),
+            (
+                r#"{"kind":"fig5","accesses":1e300}"#,
+                "\"accesses\" must be at most 20000000",
+            ),
             (r#"{"kind":"sweep","benches":["gcc"]}"#, "unknown benchmark"),
             (
                 r#"{"kind":"sweep","policies":["belady"]}"#,
                 "unknown policy",
             ),
             (r#"{"kind":"sweep","benches":[]}"#, "at least one"),
+            (&too_many_benches, "\"benches\" may list at most 256 names"),
+            (&too_many_policies, "\"policies\" may list at most 64 names"),
             (r#"not json"#, "JSON error"),
         ] {
             let err = JobSpec::parse(raw).expect_err(raw);
             assert!(err.contains(needle), "{raw}: {err}");
         }
+    }
+
+    #[test]
+    fn specs_at_each_limit_are_accepted() {
+        let list = |name: &str, n: usize| vec![format!("{name:?}"); n].join(",");
+        let raw = format!(
+            r#"{{"kind":"sweep","benches":[{}],"policies":[{}],"accesses":{MAX_ACCESSES}}}"#,
+            list("mcf", MAX_BENCHES),
+            list("lru", MAX_POLICIES)
+        );
+        let spec = JobSpec::parse(&raw).unwrap();
+        assert_eq!(spec.accesses, MAX_ACCESSES);
+        assert_eq!(spec.grid().0.len(), MAX_BENCHES);
+        assert_eq!(spec.grid().1.len(), MAX_POLICIES);
     }
 
     #[test]

@@ -459,6 +459,9 @@ pub fn try_run_matrix(
             for ev in events {
                 opts.telemetry.emit(ev);
             }
+            // One flush per replayed cell: a live sink (the serve tier's
+            // event log) wakes its readers once per cell, not per line.
+            opts.telemetry.flush();
             row.push(result);
         }
         rows.push(row);
@@ -505,6 +508,7 @@ pub fn try_run_cells(
             for ev in events {
                 opts.telemetry.emit(ev);
             }
+            opts.telemetry.flush();
             result
         })
         .collect())

@@ -107,11 +107,11 @@ fn main() -> ExitCode {
         Ok(addr) => println!("listening on http://{addr}"),
         Err(e) => return io_error(&format!("cannot resolve bound address: {e}")),
     }
-    // Bridge the signal flag to the server's shutdown flag.
+    // Bridge the signal flag to the server's shutdown trigger.
     let shutdown = server.shutdown_handle();
     std::thread::spawn(move || loop {
         if SIGNALLED.load(Ordering::SeqCst) {
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.trigger();
             return;
         }
         std::thread::sleep(Duration::from_millis(50));

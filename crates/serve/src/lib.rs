@@ -42,5 +42,5 @@ pub mod server;
 pub mod state;
 
 pub use journal::{JobStatus, Journal, JournalOp, Recovered};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, Shutdown};
 pub use state::{State, SubmitError};

@@ -1,11 +1,13 @@
 //! The HTTP front end and the single-job scheduler.
 //!
-//! Threading model: one accept loop (nonblocking, polling the shutdown
-//! flag), one connection thread per accepted socket (requests are tiny;
+//! Threading model: one accept loop blocked in `accept` (a [`Shutdown`]
+//! trigger sets the flag, then wakes it with one loopback connection),
+//! one connection thread per accepted socket (requests are tiny;
 //! `Connection: close`), one scheduler thread executing jobs strictly in
 //! admission order (a job may itself fan out over the worker pool via its
-//! spec's `jobs` field), plus a short-lived watchdog thread per deadlined
-//! job.
+//! spec's `jobs` field), plus a watchdog thread per deadlined job that
+//! waits on the job's event log until the deadline or the job's end,
+//! whichever comes first. Nothing on the request or job path sleeps.
 //!
 //! API surface (all responses `Connection: close`):
 //!
@@ -33,7 +35,7 @@ use mlpsim_telemetry::prof;
 use mlpsim_telemetry::trace::{self, TraceCtx};
 use mlpsim_telemetry::{Json, SinkHandle};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,11 +69,54 @@ impl Default for ServerConfig {
     }
 }
 
+/// Stops a running [`Server`]'s accept loop and so begins its drain.
+/// Cloneable; signal bridges, `POST /drain` and tests each hold one.
+#[derive(Clone, Debug)]
+pub struct Shutdown {
+    flag: Arc<AtomicBool>,
+    /// Where a trigger connects to wake the blocked `accept`: the
+    /// listener's address, loopback in place of an unspecified one.
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    fn new(bound: SocketAddr) -> Shutdown {
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Shutdown {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake,
+        }
+    }
+
+    /// Set the flag, then make one loopback connection so the accept loop
+    /// returns from `accept`, sees the flag and drains. Idempotent: only
+    /// the first trigger connects.
+    pub fn trigger(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            // The kernel completes a loopback connect from the listen
+            // backlog, so this returns at once; on failure the loop still
+            // stops at its next accepted connection.
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+
+    /// Whether a trigger has fired.
+    pub fn is_triggered(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
 /// A running server: listener bound, journal recovered, scheduler live.
 pub struct Server {
     state: Arc<State>,
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
     cfg: ServerConfig,
     scheduler: Option<JoinHandle<()>>,
 }
@@ -112,10 +157,10 @@ impl Server {
             State::from_recovered(recovered, journal, cfg.data_dir.clone(), cfg.queue_capacity)?;
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking accept: {e}"))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let bound = listener
+            .local_addr()
+            .map_err(|e| format!("cannot resolve bound address: {e}"))?;
+        let shutdown = Shutdown::new(bound);
         let scheduler = {
             let state = Arc::clone(&state);
             thread::spawn(move || scheduler_loop(&state))
@@ -138,10 +183,10 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A flag external code (signal handlers, tests) may set to stop the
-    /// accept loop and begin the graceful drain.
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// A handle external code (signal bridges, tests) may trigger to stop
+    /// the accept loop and begin the graceful drain.
+    pub fn shutdown_handle(&self) -> Shutdown {
+        self.shutdown.clone()
     }
 
     /// The shared state (tests submit/inspect through it directly).
@@ -149,28 +194,27 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Accept connections until the shutdown flag rises (via signal,
+    /// Accept connections until a [`Shutdown`] trigger (a signal,
     /// `POST /drain`, or `shutdown_handle`), then drain: the running job
     /// finishes and is journaled; queued jobs stay journaled for the next
     /// boot. Returns once the scheduler has exited.
     pub fn serve(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.is_triggered() {
+            let accepted = self.listener.accept();
+            // The flag is checked after every accept: the connection that
+            // woke a triggered loop is the trigger's own, and is dropped.
+            if self.shutdown.is_triggered() {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
                     let state = Arc::clone(&self.state);
-                    let shutdown = Arc::clone(&self.shutdown);
+                    let shutdown = self.shutdown.clone();
                     let cfg = self.cfg.clone();
                     thread::spawn(move || handle_connection(stream, &state, &shutdown, &cfg));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(10));
-                }
                 Err(e) => {
                     log::server_event(None, "accept_failed", &format!("accept failed: {e}"));
-                    thread::sleep(Duration::from_millis(10));
                 }
             }
         }
@@ -205,18 +249,12 @@ fn execute(
     let _watchdog = spec.deadline_ms.map(|ms| {
         let token = token.clone();
         let log = Arc::clone(log);
+        // The log closes when the job reaches a terminal state, which
+        // releases the watchdog at once.
         thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            // Poll in short chunks so a finished job releases the thread
-            // promptly (the log closes when the job reaches a terminal
-            // state).
-            while Instant::now() < deadline {
-                if log.is_done() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(20));
+            if !log.wait_closed(Duration::from_millis(ms)) {
+                token.cancel();
             }
-            token.cancel();
         })
     });
     let telemetry = SinkHandle::of(LogSink(Arc::clone(log)));
@@ -259,7 +297,7 @@ fn execute(
 fn handle_connection(
     mut stream: TcpStream,
     state: &Arc<State>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &Shutdown,
     cfg: &ServerConfig,
 ) {
     if http::arm_read_timeout(&stream, cfg.read_timeout_ms).is_err() {
@@ -319,7 +357,7 @@ fn route(
     req: &Request,
     state: &Arc<State>,
     ctx: &TraceCtx,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &Shutdown,
     cfg: &ServerConfig,
 ) -> io::Result<u16> {
     let segs = req.segments();
@@ -499,8 +537,9 @@ fn route(
         ("POST", ["drain"]) => {
             let _drain = ctx.child("drain");
             state.begin_drain();
-            shutdown.store(true, Ordering::SeqCst);
-            http::write_response(stream, 202, "text/plain", &[], b"draining\n").map(|()| 202)
+            let wrote = http::write_response(stream, 202, "text/plain", &[], b"draining\n");
+            shutdown.trigger();
+            wrote.map(|()| 202)
         }
         (_, ["jobs", ..])
         | (_, ["estimate"])
@@ -512,9 +551,10 @@ fn route(
     }
 }
 
-/// Stream a job's NDJSON event lines as chunks until the job is terminal.
-/// Each flush's line count lands in the backlog histogram — how far
-/// behind this reader had fallen when it was woken.
+/// Stream a job's NDJSON event lines as chunks until the job is terminal:
+/// each wake-up's byte range goes out as one chunk. Its line count lands
+/// in the backlog histogram — how far behind this reader had fallen when
+/// it was woken.
 fn stream_events(
     stream: &mut TcpStream,
     log: &EventLog,
@@ -526,29 +566,21 @@ fn stream_events(
     let mut w = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
     let mut cursor = 0usize;
     loop {
-        let (lines, done) = log.wait_from(cursor);
-        cursor += lines.len();
-        if !lines.is_empty() {
-            state.observe_backlog(lines.len() as u64);
-            total_lines += lines.len() as u64;
-            let mut payload = String::new();
-            for line in &lines {
-                payload.push_str(line);
-                payload.push('\n');
-            }
-            let t0 = prof::now_ns();
-            let wrote = w.chunk(payload.as_bytes());
-            state.observe_stream_write((prof::now_ns() - t0) / 1000);
-            wrote?;
-        }
-        if done && lines.is_empty() {
+        let chunk = log.wait_from(cursor);
+        if chunk.lines == 0 && chunk.done {
             span.tag("lines", total_lines.to_string());
             w.finish()?;
             return Ok(200);
         }
-        if done {
-            // Loop once more to pick up any lines racing the close.
-            continue;
+        // After a close, loop once more to pick up any lines racing it.
+        cursor += chunk.lines;
+        if chunk.lines > 0 {
+            state.observe_backlog(chunk.lines as u64);
+            total_lines += chunk.lines as u64;
+            let t0 = prof::now_ns();
+            let wrote = w.chunk(&chunk.bytes);
+            state.observe_stream_write((prof::now_ns() - t0) / 1000);
+            wrote?;
         }
     }
 }

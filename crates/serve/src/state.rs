@@ -28,6 +28,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A job's live telemetry stream: NDJSON lines appended by the executor,
 /// consumed by any number of `/jobs/:id/events` readers at their own
 /// cursors.
+///
+/// The lines live in one append-only buffer, each encoded straight into
+/// it ([`EventLog::record`]) and ended by `\n`, with the offset one past
+/// every line's newline alongside. A reader's cursor is a line index; it
+/// gets everything past it as one byte range, copied once. Readers wake on
+/// [`EventLog::flush`] (the executor flushes after each replayed cell) and
+/// on [`EventLog::close`], not on every line.
 #[derive(Debug, Default)]
 pub struct EventLog {
     inner: Mutex<LogInner>,
@@ -36,8 +43,21 @@ pub struct EventLog {
 
 #[derive(Debug, Default)]
 struct LogInner {
-    lines: Vec<String>,
+    bytes: String,
+    /// `ends[i]` is the byte offset one past line `i`'s newline.
+    ends: Vec<u32>,
     done: bool,
+}
+
+/// What [`EventLog::wait_from`] hands a reader.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Chunk {
+    /// Every line past the reader's cursor, each ending in `\n`.
+    pub bytes: Vec<u8>,
+    /// How many lines `bytes` holds (advance the cursor by this).
+    pub lines: usize,
+    /// Whether the log was closed when the chunk was taken.
+    pub done: bool,
 }
 
 impl EventLog {
@@ -54,9 +74,22 @@ impl EventLog {
         Arc::new(log)
     }
 
-    /// Append one NDJSON line and wake waiting readers.
-    pub fn push(&self, line: String) {
-        lock(&self.inner).lines.push(line);
+    /// Append one event as an NDJSON line. Readers are not woken until the
+    /// next [`EventLog::flush`] or [`EventLog::close`]. Offsets are `u32`,
+    /// so a log that has reached 4 GiB drops further lines.
+    pub fn record(&self, ev: &Event) {
+        let mut inner = lock(&self.inner);
+        let start = inner.bytes.len();
+        ev.write_ndjson(&mut inner.bytes);
+        inner.bytes.push('\n');
+        match u32::try_from(inner.bytes.len()) {
+            Ok(end) => inner.ends.push(end),
+            Err(_) => inner.bytes.truncate(start),
+        }
+    }
+
+    /// Wake every reader to collect what was recorded since it last woke.
+    pub fn flush(&self) {
         self.cond.notify_all();
     }
 
@@ -66,32 +99,45 @@ impl EventLog {
         self.cond.notify_all();
     }
 
-    /// Lines past `cursor`, blocking until there is something new or the
-    /// stream finishes. Returns `(new_lines, done)`; when `done` is true
-    /// and the lines are empty the reader has drained everything.
-    pub fn wait_from(&self, cursor: usize) -> (Vec<String>, bool) {
-        let mut inner = lock(&self.inner);
-        loop {
-            if inner.lines.len() > cursor || inner.done {
-                let fresh = inner.lines.get(cursor..).unwrap_or(&[]).to_vec();
-                return (fresh, inner.done);
-            }
-            let (next, _timeout) = self
-                .cond
-                .wait_timeout(inner, Duration::from_millis(200))
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = next;
+    /// Lines past line index `cursor`, blocking until a flush or close
+    /// finds something new, or the stream is finished. A chunk with
+    /// `done` set and no lines means the reader has drained everything.
+    pub fn wait_from(&self, cursor: usize) -> Chunk {
+        let inner = self
+            .cond
+            .wait_while(lock(&self.inner), |i| i.ends.len() <= cursor && !i.done)
+            .unwrap_or_else(PoisonError::into_inner);
+        let end_of = |line: usize| inner.ends.get(line).map_or(0, |&end| end as usize);
+        let total = inner.ends.len();
+        let lines = total.saturating_sub(cursor);
+        let bytes = if lines == 0 {
+            Vec::new()
+        } else {
+            let from = if cursor == 0 { 0 } else { end_of(cursor - 1) };
+            let range = inner.bytes.as_bytes().get(from..end_of(total - 1));
+            range.unwrap_or_default().to_vec()
+        };
+        Chunk {
+            bytes,
+            lines,
+            done: inner.done,
         }
     }
 
-    /// Whether the stream has finished (non-blocking; watchdogs poll it).
-    pub fn is_done(&self) -> bool {
-        lock(&self.inner).done
+    /// Block until the log closes or `timeout` passes; true when it
+    /// closed. The deadline watchdog waits here, so a job that finishes
+    /// early releases its watchdog at once.
+    pub fn wait_closed(&self, timeout: Duration) -> bool {
+        let (inner, _) = self
+            .cond
+            .wait_timeout_while(lock(&self.inner), timeout, |i| !i.done)
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.done
     }
 
     /// Total lines appended so far.
     pub fn len(&self) -> usize {
-        lock(&self.inner).lines.len()
+        lock(&self.inner).ends.len()
     }
 
     /// Whether no lines have been appended yet.
@@ -100,16 +146,18 @@ impl EventLog {
     }
 }
 
-/// [`EventSink`] adapter: telemetry events from a running job become
-/// NDJSON lines on its [`EventLog`].
+/// [`EventSink`] adapter: telemetry events from a running job are encoded
+/// straight into its [`EventLog`], and a flush wakes its readers.
 pub struct LogSink(pub Arc<EventLog>);
 
 impl EventSink for LogSink {
     fn record(&mut self, ev: Event) {
-        self.0.push(ev.to_ndjson_line());
+        self.0.record(&ev);
     }
 
-    fn flush(&mut self) {}
+    fn flush(&mut self) {
+        self.0.flush();
+    }
 }
 
 /// One job as the server tracks it.
@@ -722,18 +770,106 @@ mod tests {
         assert!(token.is_cancelled());
     }
 
+    fn stall(cycle: u64) -> Event {
+        Event::Stall { cycle, len: 200 }
+    }
+
+    fn lines_of(events: &[Event]) -> Vec<u8> {
+        let mut text = String::new();
+        for ev in events {
+            ev.write_ndjson(&mut text);
+            text.push('\n');
+        }
+        text.into_bytes()
+    }
+
     #[test]
     fn event_log_cursor_sees_all_lines_then_done() {
         let log = EventLog::new();
-        log.push("a".into());
-        log.push("b".into());
-        let (lines, done) = log.wait_from(0);
-        assert_eq!(lines, vec!["a".to_string(), "b".to_string()]);
-        assert!(!done);
+        log.record(&stall(1));
+        log.record(&stall(2));
+        let chunk = log.wait_from(0);
+        assert_eq!(chunk.bytes, lines_of(&[stall(1), stall(2)]));
+        assert_eq!(chunk.lines, 2);
+        assert!(!chunk.done);
         log.close();
-        let (rest, done) = log.wait_from(2);
-        assert!(rest.is_empty());
-        assert!(done);
+        let rest = log.wait_from(2);
+        assert_eq!(
+            rest,
+            Chunk {
+                bytes: Vec::new(),
+                lines: 0,
+                done: true
+            }
+        );
+    }
+
+    #[test]
+    fn a_reader_joining_mid_stream_gets_exactly_the_bytes_after_its_cursor() {
+        let log = EventLog::new();
+        let events: Vec<Event> = (0..5).map(stall).collect();
+        for ev in &events {
+            log.record(ev);
+        }
+        // A cursor at the end would block: the log is still open.
+        for cursor in 0..events.len() {
+            let chunk = log.wait_from(cursor);
+            assert_eq!(chunk.bytes, lines_of(&events[cursor..]), "cursor {cursor}");
+            assert_eq!(chunk.lines, events.len() - cursor);
+        }
+        assert_eq!(log.len(), 5);
+    }
+
+    #[test]
+    fn a_blocked_reader_wakes_on_flush_and_on_close() {
+        let log = EventLog::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let first = log.wait_from(0);
+                let lines = first.lines;
+                tx.send(first).unwrap();
+                tx.send(log.wait_from(lines)).unwrap();
+            })
+        };
+        let wait = Duration::from_secs(5);
+        // Give the reader time to block first. The assertions hold either
+        // way; the pause makes it likely that a wake-up is what they see.
+        std::thread::sleep(Duration::from_millis(50));
+        log.record(&stall(7));
+        log.flush();
+        let first = rx.recv_timeout(wait).expect("flush wakes the reader");
+        assert_eq!(first.bytes, lines_of(&[stall(7)]));
+        assert!(!first.done);
+        std::thread::sleep(Duration::from_millis(50));
+        log.close();
+        let last = rx.recv_timeout(wait).expect("close wakes the reader");
+        assert_eq!(
+            last,
+            Chunk {
+                bytes: Vec::new(),
+                lines: 0,
+                done: true
+            }
+        );
+        reader.join().unwrap();
+    }
+
+    #[test]
+    fn wait_closed_returns_at_close_or_at_the_deadline() {
+        let log = EventLog::new();
+        assert!(
+            !log.wait_closed(Duration::from_millis(1)),
+            "open log times out"
+        );
+        let closer = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || log.close())
+        };
+        // Far past `Instant`'s range: waits for the close, no overflow.
+        assert!(log.wait_closed(Duration::MAX));
+        closer.join().unwrap();
     }
 
     #[test]

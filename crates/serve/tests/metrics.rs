@@ -7,11 +7,10 @@
 #![allow(clippy::unwrap_used)]
 
 use mlpsim_serve::client;
-use mlpsim_serve::{Server, ServerConfig};
+use mlpsim_serve::{Server, ServerConfig, Shutdown};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -28,7 +27,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 struct TestServer {
     url: String,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
     thread: JoinHandle<()>,
 }
 
@@ -53,7 +52,7 @@ impl TestServer {
     }
 
     fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.trigger();
         self.thread.join().expect("serve thread exits");
     }
 }

@@ -6,12 +6,13 @@
 #![allow(clippy::unwrap_used)]
 
 use mlpsim_serve::client;
-use mlpsim_serve::{Server, ServerConfig};
+use mlpsim_serve::{Server, ServerConfig, Shutdown};
 use mlpsim_telemetry::{Event, Json};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -27,7 +28,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 struct TestServer {
     url: String,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
     thread: JoinHandle<()>,
 }
 
@@ -53,9 +54,65 @@ impl TestServer {
 
     /// Stop accepting and wait for the drain to complete.
     fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.trigger();
         self.thread.join().expect("serve thread exits");
     }
+}
+
+/// An idle server on `addr` whose `serve()` reports on the channel when
+/// it returns.
+fn start_idle(dir: &Path, addr: &str) -> (String, Shutdown, mpsc::Receiver<()>) {
+    let cfg = ServerConfig {
+        addr: addr.into(),
+        data_dir: dir.to_path_buf(),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(cfg).expect("server starts");
+    let url = format!("http://{}", server.local_addr().expect("bound address"));
+    let shutdown = server.shutdown_handle();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.serve();
+        let _ = tx.send(());
+    });
+    (url, shutdown, rx)
+}
+
+/// The accept loop blocks with no traffic; a drain must still wake it.
+fn assert_serve_returns_within_a_second(returned: &mpsc::Receiver<()>) {
+    returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("serve() returns within 1 s of the drain");
+}
+
+#[test]
+fn idle_server_drains_on_trigger() {
+    let dir = tmp_dir("idle-trigger");
+    let (_url, shutdown, returned) = start_idle(&dir, "127.0.0.1:0");
+    shutdown.trigger();
+    assert_serve_returns_within_a_second(&returned);
+    shutdown.trigger(); // idempotent once drained
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_server_drains_on_post_drain() {
+    let dir = tmp_dir("idle-post");
+    let (url, shutdown, returned) = start_idle(&dir, "127.0.0.1:0");
+    client::drain(&url).expect("drain accepted");
+    assert_serve_returns_within_a_second(&returned);
+    assert!(shutdown.is_triggered(), "POST /drain triggers the handle");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn server_bound_to_the_unspecified_address_drains() {
+    let dir = tmp_dir("idle-any");
+    let (url, shutdown, returned) = start_idle(&dir, "0.0.0.0:0");
+    assert!(url.starts_with("http://0.0.0.0:"), "{url}");
+    shutdown.trigger();
+    assert_serve_returns_within_a_second(&returned);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

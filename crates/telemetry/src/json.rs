@@ -7,7 +7,7 @@
 //! `f64`; integer event fields stay exact up to 2^53, far beyond any
 //! simulated cycle or line-address range in this repo.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,18 +128,19 @@ impl Json {
     }
 }
 
-fn encode_number(n: f64, out: &mut String) {
+pub(crate) fn encode_number(n: f64, out: &mut String) {
     if n.is_finite() {
         // Rust's shortest round-trip formatting; integral values print
-        // without a fraction, which is still a valid JSON number.
-        out.push_str(&format!("{n}"));
+        // without a fraction, which is still a valid JSON number. Writing
+        // into a `String` cannot fail.
+        let _ = write!(out, "{n}");
     } else {
         // JSON has no NaN/inf; null is the least-surprising encoding.
         out.push_str("null");
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
+pub(crate) fn encode_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -149,7 +150,8 @@ fn encode_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

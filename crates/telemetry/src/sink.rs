@@ -183,6 +183,8 @@ pub struct NdjsonSink<W: Write> {
     last_snapshot_at: u64,
     closed: bool,
     io_error: bool,
+    /// Reused line buffer: each event is encoded into it, then written.
+    line: String,
 }
 
 /// Default snapshot interval: frequent enough that a truncated multi-
@@ -205,6 +207,7 @@ impl<W: Write> NdjsonSink<W> {
             last_snapshot_at: 0,
             closed: false,
             io_error: false,
+            line: String::new(),
         }
     }
 
@@ -222,8 +225,10 @@ impl<W: Write> NdjsonSink<W> {
         if self.io_error {
             return;
         }
-        let line = ev.to_ndjson_line();
-        if writeln!(self.out, "{line}").is_err() {
+        self.line.clear();
+        ev.write_ndjson(&mut self.line);
+        self.line.push('\n');
+        if self.out.write_all(self.line.as_bytes()).is_err() {
             // Telemetry must never take the simulation down; drop the
             // stream on the first I/O failure and keep simulating.
             self.io_error = true;

@@ -1,9 +1,10 @@
 #![allow(clippy::unwrap_used)] // test/bench code: panics are failures, not bugs
 
-//! Property tests: NDJSON round-trips for randomized field values, and
+//! Property tests: NDJSON round-trips for randomized field values (every
+//! event kind, including values the codec cannot carry exactly), and
 //! counter-registry monotonicity over arbitrary event sequences.
 
-use mlpsim_telemetry::{exact_share, Event, EventSink, NdjsonSink, Registry, StallLedger};
+use mlpsim_telemetry::{exact_share, Event, EventSink, Json, NdjsonSink, Registry, StallLedger};
 use proptest::prelude::*;
 
 /// Builds one event of each shape class from randomized scalars: unsigned,
@@ -80,6 +81,227 @@ fn sample_events(
             avg_cost_q: cost / 3.0,
         },
     ]
+}
+
+/// Characters covering every branch of the string encoder: plain ASCII,
+/// the two-character escapes, other control characters (`\u00XX`), DEL,
+/// and multi-byte UTF-8.
+const ALPHABET: &[char] = &[
+    'a', 'Z', '0', ' ', '-', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}',
+    '\u{7f}', 'é', 'λ', '漢', '🚀',
+];
+
+fn text(picks: &[usize]) -> String {
+    picks
+        .iter()
+        .map(|&i| ALPHABET[i % ALPHABET.len()])
+        .collect()
+}
+
+/// `x`, or one of the values a float field may hold that plain ranges
+/// never produce.
+fn float_of(special: usize, x: f64) -> f64 {
+    match special {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => x * 1e290,
+        5 => x * 1e-300,
+        _ => x,
+    }
+}
+
+/// One event of kind `Event::kinds()[kind]`, its fields drawn from the
+/// given scalars, so a strategy over `kind` reaches every variant.
+fn event_of(kind: usize, a: u64, b: u64, d: i64, x: f64, flag: bool, s: String) -> Event {
+    let q = (a % 256) as u8;
+    match kind {
+        0 => Event::RunStart {
+            label: s.clone(),
+            policy: s,
+            cycle: a,
+        },
+        1 => Event::RunEnd {
+            label: s.clone(),
+            policy: s,
+            cycle: a,
+            instructions: b,
+            l2_misses: a / 3,
+            peak_mlp: b % 33,
+            mem_stall_cycles: b / 7,
+        },
+        2 => Event::MshrAlloc {
+            cycle: a,
+            line: b,
+            demand: flag,
+            live: a % 33,
+            demand_live: b % 33,
+            slot: a % 32,
+        },
+        3 => Event::MshrMerge {
+            cycle: a,
+            line: b,
+            promoted: flag,
+            live: b % 33,
+        },
+        4 => Event::MshrRelease {
+            cycle: a,
+            line: b,
+            demand: flag,
+            live: a % 33,
+            cost: x,
+            slot: b % 32,
+        },
+        5 => Event::CacheHit {
+            level: q,
+            set: a % 4096,
+            line: b,
+            seq: a,
+        },
+        6 => Event::CacheMiss {
+            level: q,
+            set: b % 4096,
+            line: a,
+            seq: b,
+        },
+        7 => Event::CacheVictim {
+            level: q,
+            set: a % 4096,
+            way: b % 16,
+            rank: a % 16,
+            cost_q: q,
+            line: b,
+            dirty: flag,
+            seq: a,
+        },
+        8 => Event::Serviced {
+            line: a,
+            cycle: b,
+            cost: x,
+            cost_q: q,
+        },
+        9 => Event::Stall { cycle: a, len: b },
+        10 => Event::StallSpan {
+            begin: a,
+            end: b,
+            line: a,
+            set: b % 4096,
+            cost_q: q,
+            policy: s,
+            n_begin: a % 33,
+        },
+        11 => Event::StallAttrib {
+            cycle: a,
+            line: b,
+            set: a % 4096,
+            cost_q: q,
+            policy: s,
+            cycles: b,
+        },
+        12 => Event::Sample {
+            instructions: a,
+            cycle: b,
+            ipc: x,
+            mpki: -x,
+            avg_cost_q: x / 3.0,
+        },
+        13 => Event::PselUpdate {
+            unit: s,
+            index: a % 4096,
+            delta: d,
+            value: b,
+            msb: flag,
+            saturated: !flag,
+            seq: a,
+        },
+        14 => Event::PselFlip {
+            unit: s,
+            index: b % 4096,
+            msb: flag,
+            value: a,
+            seq: b,
+        },
+        15 => Event::LeaderDivergence {
+            unit: s.clone(),
+            side: s,
+            line: a,
+            cost_q: q,
+            seq: b,
+        },
+        16 => Event::Snapshot {
+            events: a,
+            counts: vec![(s, b), ("cache_miss".into(), a)],
+        },
+        17 => Event::TraceGen {
+            bench: s,
+            accesses: a,
+            seed: b,
+        },
+        18 => Event::TraceSummary {
+            bench: s,
+            accesses: a,
+            unique_lines: b,
+        },
+        19 => Event::PlanCell {
+            bench: s.clone(),
+            policy: "lin(4)".into(),
+            est_miss_rate: x,
+            band: x / 7.0,
+            delta: -x,
+            pruned: flag,
+            reason: s,
+        },
+        _ => Event::PlanSummary {
+            cells: a,
+            pruned: b,
+            simulated: a / 2,
+            margin: x,
+        },
+    }
+}
+
+#[test]
+fn event_of_reaches_every_kind() {
+    for (i, kind) in Event::kinds().iter().enumerate() {
+        assert_eq!(event_of(i, 1, 2, -3, 0.5, true, "x".into()).kind(), *kind);
+    }
+}
+
+proptest! {
+    // ~100 cases per event kind.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn every_line_re_encodes_unchanged_through_the_parser(
+        ints in (0usize..21, 0u64..=u64::MAX, 0u64..=u64::MAX, 0u32..64),
+        rest in (i64::MIN..i64::MAX, 0usize..10, -1e12f64..1e12, prop::bool::ANY),
+        picks in prop::collection::vec(0usize..64, 0..16),
+    ) {
+        let ((kind, a, b, shift), (d, special, x, flag)) = (ints, rest);
+        // Any value, exact or not: integers past 2^53, NaN and infinities
+        // (which encode as null), escapes and non-ASCII text.
+        let ev = event_of(kind, a >> shift, b, d >> shift, float_of(special, x), flag, text(&picks));
+        let line = ev.to_ndjson_line();
+        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        prop_assert_eq!(doc.to_string_compact(), line);
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_from_json(
+        ints in (0usize..21, 0u64..=(1u64 << 53), 0u64..=(1u64 << 53), 0u32..54),
+        rest in (-(1i64 << 53)..(1i64 << 53), 3usize..10, -1e12f64..1e12, prop::bool::ANY),
+        picks in prop::collection::vec(0usize..64, 0..16),
+    ) {
+        let ((kind, a, b, shift), (d, special, x, flag)) = (ints, rest);
+        // Values the codec carries exactly: integers within f64's 53-bit
+        // mantissa and finite floats.
+        let ev = event_of(kind, a >> shift, b, d >> shift, float_of(special, x), flag, text(&picks));
+        let line = ev.to_ndjson_line();
+        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let back = Event::from_json(&doc).unwrap_or_else(|e| panic!("{line}: {e}"));
+        prop_assert_eq!(&back, &ev, "round trip changed the event");
+    }
 }
 
 proptest! {
